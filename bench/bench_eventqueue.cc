@@ -4,7 +4,7 @@
  * schedule/cancel churn at 1M events, with small and oversized
  * captures, plus the InlineFunction construct/invoke cost in
  * isolation. These are the operations every simulated cycle pays for;
- * see BENCH_hotpath.json for the end-to-end figure-level numbers.
+ * `perfbench/run.py --workload bsp-lb` times them end to end.
  */
 
 #include <benchmark/benchmark.h>

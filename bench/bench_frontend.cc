@@ -6,8 +6,8 @@
  * the group-arena Scalar counters against free-standing (inline)
  * counters. Every simulated memory op crosses these structures before
  * it reaches the cache hierarchy, so their constant factors multiply
- * into every figure cell; BENCH_frontend.json tracks the end-to-end
- * effect on the fig14 LB column.
+ * into every figure cell; `perfbench/run.py --workload bsp-lb` times
+ * the end-to-end effect on the fig14 LB column.
  */
 
 #include <benchmark/benchmark.h>

@@ -5,8 +5,8 @@
  * against the node-based std containers they replaced, and the victim
  * scan over the packed 32-byte CacheLine records. Every LLC request
  * pays one map insert, one-or-more list pushes, and one erase; a
- * figure sweep multiplies that by ~10^7, which is why BENCH_llc.json
- * tracks the end-to-end effect.
+ * figure sweep multiplies that by ~10^7, which is why
+ * `perfbench/run.py --workload bsp-lb` times the end-to-end effect.
  */
 
 #include <benchmark/benchmark.h>

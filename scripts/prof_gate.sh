@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Host-time profile regression gate for the bench_* scripts.
+# Host-time profile regression gate for scripts/bench_trace.sh.
 #
 # Profiles one representative sweep cell with the current build
 # (--prof-out) and, when BASELINE_BUILD is set, with the baseline

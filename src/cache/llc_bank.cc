@@ -279,7 +279,7 @@ LlcBank::missPath(Txn txn)
         _array.victimFor(txn.addr, _pc.config().avoidTaggedVictims);
     if (!victim) {
         ++_victimRetries;
-        scheduleIn(_cfg.pinnedRetryInterval,
+        scheduleIn(LlcBankConfig::kPinnedRetryInterval,
                    [this, txn] { missPath(txn); });
         return;
     }

@@ -37,11 +37,9 @@ struct LlcBankConfig
     unsigned setShift = 5;
     /**
      * Backoff before re-scanning for a victim when every way of the
-     * target set is pinned by in-flight transactions. The default (8
-     * cycles) matches the historical hardcoded value, so figure sweeps
-     * are unchanged unless a spec overrides it.
+     * target set is pinned by in-flight transactions.
      */
-    Tick pinnedRetryInterval = 8;
+    static constexpr Tick kPinnedRetryInterval = 8;
 };
 
 /**

@@ -1,12 +1,17 @@
 #include "exp/figures.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "exp/stats_export.hh"
 #include "sim/logging.hh"
+#include "workload/synthetic/presets.hh"
+#include "workload/workload_factory.hh"
 
 namespace persim::exp
 {
@@ -14,19 +19,300 @@ namespace persim::exp
 namespace
 {
 
-/** Sum "<prefix>[<i>]<suffix>" over all per-core stat instances. */
-double
-sumPerCore(const std::map<std::string, double> &stats,
-           const std::string &prefix, const std::string &suffix,
-           unsigned cores)
+using model::PersistencyModel;
+using persist::BarrierKind;
+using Metric = Reduction::Metric;
+
+/** One column spec: its label, model, barrier and BSP parameters. */
+ExperimentSpec
+column(const std::string &label, PersistencyModel pm,
+       BarrierKind barrier, unsigned epochSize = 10000,
+       bool logging = true)
 {
-    double total = 0;
-    for (unsigned c = 0; c < cores; ++c) {
-        auto it =
-            stats.find(prefix + "[" + std::to_string(c) + "]" + suffix);
-        if (it != stats.end())
-            total += it->second;
+    ExperimentSpec c;
+    c.configLabel = label;
+    c.pm = pm;
+    c.barrier = barrier;
+    c.epochSize = epochSize;
+    c.logging = logging;
+    return c;
+}
+
+/** The BEP LB++ column the ablations vary one knob of. */
+ExperimentSpec
+bepLbpp(const std::string &label)
+{
+    return column(label, PersistencyModel::BufferedEpoch,
+                  BarrierKind::LBPP);
+}
+
+/** @p scalar summed over every core's persist arbiter. */
+StatRef
+arbiterStat(const char *scalar)
+{
+    return {"persist.arbiter[*]", scalar};
+}
+
+/** @p metric normalized to column @p baseline, geometric means. */
+Reduction
+normalized(Metric metric, const std::string &baseline, bool showBaseline)
+{
+    Reduction r;
+    r.metric = metric;
+    r.baseline = baseline;
+    r.showBaseline = showBaseline;
+    return r;
+}
+
+/** Raw sums of @p stats, arithmetic means. */
+Reduction
+statSum(std::vector<StatRef> stats)
+{
+    Reduction r;
+    r.metric = Metric::Stat;
+    r.stats = std::move(stats);
+    r.gmean = false;
+    return r;
+}
+
+/** 100 * sum(@p part) / sum(@p whole), arithmetic means. */
+Reduction
+statPercent(std::vector<StatRef> part, std::vector<StatRef> whole)
+{
+    Reduction r = statSum(std::move(part));
+    r.percentOf = std::move(whole);
+    return r;
+}
+
+std::vector<Grid>
+buildGrids()
+{
+    std::vector<std::string> micros;
+    for (auto kind : workload::allMicroKinds())
+        micros.push_back(workload::toString(kind));
+    const std::vector<std::string> &presets =
+        workload::syntheticPresetNames();
+
+    std::vector<ExperimentSpec> bepCols;
+    for (BarrierKind b : {BarrierKind::LB, BarrierKind::LBIDT,
+                          BarrierKind::LBPF, BarrierKind::LBPP})
+        bepCols.push_back(column(persist::toString(b),
+                                 PersistencyModel::BufferedEpoch, b));
+
+    const ExperimentSpec np =
+        column("NP", PersistencyModel::NoPersistency, BarrierKind::None,
+               0, false);
+    std::vector<ExperimentSpec> epochSizeCols;
+    for (auto [label, size] : {std::pair{"LB300", 300u},
+                               std::pair{"LB1K", 1000u},
+                               std::pair{"LB10K", 10000u}})
+        epochSizeCols.push_back(column(label,
+                                       PersistencyModel::BufferedStrict,
+                                       BarrierKind::LB, size));
+    std::vector<ExperimentSpec> fig13Cols = {np};
+    fig13Cols.insert(fig13Cols.end(), epochSizeCols.begin(),
+                     epochSizeCols.end());
+    const ExperimentSpec bspLb =
+        column("LB", PersistencyModel::BufferedStrict, BarrierKind::LB);
+
+    const Reduction normToNp = normalized(Metric::ExecTicks, "NP", false);
+
+    std::vector<Grid> g;
+    g.push_back({"fig11",
+                 "Figure 11: transaction throughput normalized to LB "
+                 "(higher is better)",
+                 300, micros, bepCols,
+                 normalized(Metric::Throughput, "LB", true)});
+    g.push_back({"fig12",
+                 "Figure 12: % epochs flushed because of a conflict "
+                 "(lower is better)",
+                 300, micros, bepCols,
+                 statPercent({arbiterStat("flushIntra"),
+                              arbiterStat("flushInter"),
+                              arbiterStat("flushReplacement")},
+                             {arbiterStat("epochsPersisted")})});
+    g.push_back({"fig13",
+                 "Figure 13: BSP execution time normalized to NP, "
+                 "varying epoch size (lower is better)",
+                 20000, presets, fig13Cols, normToNp});
+    g.push_back(
+        {"fig14",
+         "Figure 14: BSP execution time normalized to NP at epoch size "
+         "10000 (lower is better)",
+         20000, presets,
+         {np, bspLb,
+          column("LB+IDT", PersistencyModel::BufferedStrict,
+                 BarrierKind::LBIDT),
+          column("LB++", PersistencyModel::BufferedStrict,
+                 BarrierKind::LBPP),
+          column("LB++NOLOG", PersistencyModel::BufferedStrict,
+                 BarrierKind::LBPP, 10000, false)},
+         normToNp});
+    g.push_back({"fig13-nvram-writes",
+                 "Figure 13 side table: NVRAM line writes (persist + log "
+                 "+ checkpoint traffic)",
+                 20000, presets, epochSizeCols,
+                 statSum({{"mc[*]", "nvram.writes"}})});
+    g.push_back({"fig14-conflict-breakdown",
+                 "Figure 14 side table: % of LB conflicts that are "
+                 "inter-thread (paper: ~86%)",
+                 20000, presets, {bspLb},
+                 statPercent({{"persist", "interConflicts"}},
+                             {{"persist", "intraConflicts"},
+                              {"persist", "interConflicts"},
+                              {"persist", "replacementConflicts"}})});
+
+    ExperimentSpec clflush = bepLbpp("clflush");
+    clflush.invalidatingFlush = true;
+    g.push_back({"abl-flush-type",
+                 "Flush-type ablation: throughput normalized to "
+                 "clflush-style invalidating flush (paper: clwb ~1.3x)",
+                 300, micros, {clflush, bepLbpp("clwb")},
+                 normalized(Metric::Throughput, "clflush", true)});
+    g.push_back({"abl-writethrough",
+                 "Write-through strict persistency: execution time "
+                 "normalized to NP (paper: ~8x)",
+                 4000,
+                 {"ssca2", "radix", "barnes"},
+                 {np, column("SP-WT", PersistencyModel::Strict,
+                             BarrierKind::None, 0, false)},
+                 normToNp});
+    g.push_back(
+        {"abl-persistency-models",
+         "Persistency models (Figure 1): execution time normalized to NP "
+         "(expected SP >> EP >= BEP > BEP++)",
+         150,
+         {"hash", "queue", "sps"},
+         {np,
+          column("BEP++", PersistencyModel::BufferedEpoch,
+                 BarrierKind::LBPP),
+          column("BEP", PersistencyModel::BufferedEpoch, BarrierKind::LB),
+          column("EP", PersistencyModel::Epoch, BarrierKind::LB),
+          column("SP", PersistencyModel::Strict, BarrierKind::None, 0,
+                 false)},
+         normToNp});
+    ExperimentSpec allToAll = bepLbpp("allToAll");
+    allToAll.useArbiter = false;
+    Reduction packets = normalized(Metric::Stat, "arbiter", false);
+    packets.stats = {{"mesh", "packets"}};
+    g.push_back(
+        {"abl-arbiter",
+         "Arbiter ablation (§4.1): all-to-all mesh packets normalized to "
+         "the per-core arbiter's",
+         200,
+         {"hash", "queue"},
+         {bepLbpp("arbiter"), allToAll},
+         packets});
+
+    std::vector<ExperimentSpec> regCols;
+    for (unsigned regs : {1u, 2u, 4u, 8u, 16u}) {
+        ExperimentSpec c =
+            column("regs" + std::to_string(regs),
+                   PersistencyModel::BufferedStrict, BarrierKind::LBPP,
+                   1000);
+        c.idtRegsPerEpoch = regs;
+        regCols.push_back(std::move(c));
     }
+    g.push_back({"abl-idt-registers",
+                 "IDT register sensitivity (§4.3; ssca2, BSP @1K, LB++): "
+                 "IDT register overflows",
+                 15000,
+                 {"ssca2"},
+                 regCols,
+                 statSum({arbiterStat("idtOverflows")})});
+
+    std::vector<ExperimentSpec> windowCols;
+    for (unsigned w : {2u, 4u, 8u, 16u}) {
+        ExperimentSpec c = bepLbpp("w" + std::to_string(w));
+        c.maxInflightEpochs = w;
+        windowCols.push_back(std::move(c));
+    }
+    g.push_back({"abl-epoch-window",
+                 "Epoch-window sensitivity (§4.3; hash, BEP, LB++; paper "
+                 "provisions 8): barrier stalls",
+                 300,
+                 {"hash"},
+                 windowCols,
+                 statSum({arbiterStat("barrierStalls")})});
+
+    Reduction rawThroughput;
+    rawThroughput.gmean = false;
+    std::vector<ExperimentSpec> latencyCols;
+    for (Tick lat : {90, 180, 360, 720, 1440}) {
+        for (BarrierKind b : {BarrierKind::LB, BarrierKind::LBPP}) {
+            ExperimentSpec c =
+                column(std::string(persist::toString(b)) + "@" +
+                           std::to_string(lat),
+                       PersistencyModel::BufferedEpoch, b);
+            c.nvramWriteLatency = lat;
+            latencyCols.push_back(std::move(c));
+        }
+    }
+    g.push_back({"abl-nvram-latency",
+                 "NVRAM write-latency sensitivity (hash, BEP): "
+                 "transactions per Mcycle, LB vs LB++ at each latency",
+                 200,
+                 {"hash"},
+                 latencyCols,
+                 rawThroughput});
+
+    std::vector<ExperimentSpec> replCols;
+    for (auto [label, policy, avoid] :
+         {std::tuple{"lru", cache::ReplacementPolicy::Lru, true},
+          std::tuple{"lru-noavoid", cache::ReplacementPolicy::Lru, false},
+          std::tuple{"random", cache::ReplacementPolicy::Random, true},
+          std::tuple{"random-noavoid", cache::ReplacementPolicy::Random,
+                     false}}) {
+        ExperimentSpec c = bepLbpp(label);
+        c.replacementPolicy = policy;
+        c.avoidTaggedVictims = avoid;
+        // A 16 KiB LLC bank makes capacity evictions (and so
+        // replacement conflicts) actually occur.
+        c.llcBankBytes = 16 * 1024;
+        replCols.push_back(std::move(c));
+    }
+    g.push_back({"abl-replacement",
+                 "Replacement-policy ablation (hash, BEP, LB++, 16 KiB "
+                 "LLC banks): replacement conflicts",
+                 200,
+                 {"hash"},
+                 replCols,
+                 statSum({{"persist", "replacementConflicts"}})});
+    return g;
+}
+
+/**
+ * Sum of @p ref over @p statTree (a JobOutcome::statTree). Fatal when
+ * no group in the tree carries the scalar: a stale or misspelled key
+ * would otherwise read as a table of 0s.
+ */
+double
+sumStat(const JsonValue &statTree, const StatRef &ref,
+        const std::string &jobId)
+{
+    const bool perInstance = ref.group.ends_with("[*]");
+    const std::string prefix =
+        perInstance ? ref.group.substr(0, ref.group.size() - 2)
+                    : ref.group;
+    double total = 0;
+    bool found = false;
+    for (const auto &[group, stats] : statTree.members()) {
+        const bool match = perInstance
+                               ? group.starts_with(prefix) &&
+                                     group.find(']') == group.size() - 1
+                               : group == prefix;
+        if (!match)
+            continue;
+        if (const JsonValue *scalars = stats.get("scalars")) {
+            if (const JsonValue *v = scalars->get(ref.scalar)) {
+                total += v->asNumber();
+                found = true;
+            }
+        }
+    }
+    if (!found)
+        fatal("stat ", ref.group, ".", ref.scalar,
+              " matches nothing in the stat tree of ", jobId);
     return total;
 }
 
@@ -131,61 +417,116 @@ ciHalfWidth95(const std::vector<double> &xs)
            std::sqrt(static_cast<double>(n));
 }
 
-double
-conflictPct(const JobOutcome &outcome)
+const std::vector<Grid> &
+grids()
 {
-    const unsigned cores = outcome.spec.cores;
-    const double conflicted =
-        sumPerCore(outcome.stats, "persist.arbiter", ".flushIntra",
-                   cores) +
-        sumPerCore(outcome.stats, "persist.arbiter", ".flushInter",
-                   cores) +
-        sumPerCore(outcome.stats, "persist.arbiter", ".flushReplacement",
-                   cores);
-    const double total = sumPerCore(outcome.stats, "persist.arbiter",
-                                    ".epochsPersisted", cores);
-    return total > 0 ? 100.0 * conflicted / total : 0.0;
+    static const std::vector<Grid> registry = buildGrids();
+    return registry;
+}
+
+const Grid &
+findGrid(const std::string &name)
+{
+    const std::string key =
+        !name.empty() && std::isdigit(static_cast<unsigned char>(name[0]))
+            ? "fig" + name
+            : name;
+    std::string known;
+    for (const Grid &g : grids()) {
+        if (g.name == key)
+            return g;
+        known += (known.empty() ? "" : ", ") + g.name;
+    }
+    fatal("unknown grid '", name, "' (known: ", known, ")");
+}
+
+Sweep
+figureSweep(const std::string &name, std::uint64_t ops, unsigned cores,
+            std::uint64_t seed)
+{
+    const Grid &grid = findGrid(name);
+    Sweep sweep;
+    sweep.name = grid.name;
+    for (const std::string &w : grid.workloads) {
+        for (const ExperimentSpec &config : grid.configs) {
+            ExperimentSpec spec = config;
+            spec.sweep = grid.name;
+            spec.workload = w;
+            spec.cores = cores;
+            spec.ops = ops ? ops : grid.defaultOps;
+            spec.seed = seed;
+            sweep.jobs.push_back(std::move(spec));
+        }
+    }
+    return sweep;
+}
+
+Sweep
+figureSweep(int figure, std::uint64_t ops, unsigned cores,
+            std::uint64_t seed)
+{
+    return figureSweep("fig" + std::to_string(figure), ops, cores, seed);
+}
+
+double
+metricValue(const Reduction &reduce, const JobOutcome &outcome)
+{
+    switch (reduce.metric) {
+      case Reduction::Metric::Throughput:
+        return outcome.result.throughput();
+      case Reduction::Metric::ExecTicks:
+        return static_cast<double>(outcome.result.execTicks);
+      case Reduction::Metric::Stat:
+        break;
+    }
+    auto sum = [&](const std::vector<StatRef> &refs) {
+        double total = 0;
+        for (const StatRef &ref : refs)
+            total += sumStat(outcome.statTree, ref, outcome.spec.id());
+        return total;
+    };
+    const double value = sum(reduce.stats);
+    if (reduce.percentOf.empty())
+        return value;
+    const double whole = sum(reduce.percentOf);
+    return whole > 0 ? 100.0 * value / whole : 0.0;
 }
 
 FigureTable
-figureTable(int figure, const std::vector<JobOutcome> &outcomes)
+figureTable(const std::string &name,
+            const std::vector<JobOutcome> &outcomes)
 {
+    const Grid &grid = findGrid(name);
+    const Reduction &reduce = grid.reduce;
     FigureTable table;
+    table.title = grid.title;
+    table.useGmean = reduce.gmean;
+    table.meanLabel = reduce.gmean ? "gmean" : "amean";
     std::vector<std::string> allCols;
     collectAxes(outcomes, table.rows, allCols);
+    for (const std::string &c : allCols) {
+        if (reduce.showBaseline || c != reduce.baseline)
+            table.cols.push_back(c);
+    }
     const std::vector<std::uint64_t> seeds = collectSeeds(outcomes);
     table.seedCount = static_cast<unsigned>(seeds.size());
 
-    // (workload, config, seed) -> value; normalized figures use the
+    // (workload, config, seed) -> value; normalized tables use the
     // same seed's baseline so each replicate is self-consistent.
     auto seedValue = [&](const std::string &w, const std::string &c,
                          std::uint64_t seed) -> double {
         const JobOutcome *o = findOutcome(outcomes, w, c, seed);
         if (!o || !o->ok)
             return 0.0;
-        switch (figure) {
-        case 11: { // throughput normalized to LB
-            const JobOutcome *base =
-                findOutcome(outcomes, w, "LB", seed);
-            if (!base || !base->ok ||
-                base->result.throughput() == 0)
-                return 0.0;
-            return o->result.throughput() / base->result.throughput();
-        }
-        case 12: // % epochs flushed because of a conflict
-            return conflictPct(*o);
-        case 13:
-        case 14: { // execution time normalized to NP
-            const JobOutcome *base =
-                findOutcome(outcomes, w, "NP", seed);
-            if (!base || !base->ok || base->result.execTicks == 0)
-                return 0.0;
-            return static_cast<double>(o->result.execTicks) /
-                   static_cast<double>(base->result.execTicks);
-        }
-        default:
-            fatal("figureTable: unknown figure ", figure);
-        }
+        const double value = metricValue(reduce, *o);
+        if (reduce.baseline.empty())
+            return value;
+        const JobOutcome *base =
+            findOutcome(outcomes, w, reduce.baseline, seed);
+        if (!base || !base->ok)
+            return 0.0;
+        const double baseValue = metricValue(reduce, *base);
+        return baseValue == 0 ? 0.0 : value / baseValue;
     };
 
     // (workload, config) -> the per-seed replicate values.
@@ -196,44 +537,6 @@ figureTable(int figure, const std::vector<JobOutcome> &outcomes)
             vals.push_back(seedValue(w, c, s));
         return vals;
     };
-
-    switch (figure) {
-    case 11:
-        table.title = "Figure 11: transaction throughput normalized to "
-                      "LB (higher is better)";
-        table.meanLabel = "gmean";
-        table.useGmean = true;
-        table.cols = allCols;
-        break;
-    case 12:
-        table.title = "Figure 12: % epochs flushed because of a "
-                      "conflict (lower is better)";
-        table.meanLabel = "amean";
-        table.useGmean = false;
-        table.cols = allCols;
-        break;
-    case 13:
-        table.title = "Figure 13: BSP execution time normalized to NP, "
-                      "varying epoch size (lower is better)";
-        table.meanLabel = "gmean";
-        table.useGmean = true;
-        break;
-    case 14:
-        table.title = "Figure 14: BSP execution time normalized to NP "
-                      "at epoch size 10000 (lower is better)";
-        table.meanLabel = "gmean";
-        table.useGmean = true;
-        break;
-    default:
-        fatal("figureTable: unknown figure ", figure);
-    }
-    if (figure == 13 || figure == 14) {
-        // The NP baseline normalizes the other columns; drop it.
-        for (const std::string &c : allCols) {
-            if (c != "NP")
-                table.cols.push_back(c);
-        }
-    }
 
     const bool multiSeed = seeds.size() > 1;
     for (const std::string &w : table.rows) {

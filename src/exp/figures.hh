@@ -1,31 +1,127 @@
 /**
  * @file
- * Figure-table computation over sweep outcomes.
+ * The grid registry: every experiment the repository reports.
  *
- * Each paper figure reduces its config grid to one table:
- *   - Fig 11: transaction throughput normalized to LB (gmean).
- *   - Fig 12: % of epochs flushed because of a conflict (amean).
- *   - Fig 13/14: execution time normalized to the NP baseline (gmean).
+ * A Grid is one named table — the paper's Figures 11-14, their side
+ * tables, and the §7 ablations. Each entry pairs a workload axis (the
+ * table's rows) and a list of column specs (configLabel plus the model,
+ * barrier and ablation knobs) with the single reduction that turns the
+ * finished cells into the table: a metric, an optional baseline column
+ * to normalize against, and a geometric or arithmetic column mean.
  *
- * One implementation serves the bench binaries, persim_sweep's JSON /
- * CSV / stdout output, and the tests.
+ * persim_sweep --figure NAME, the tests and the benchmark all expand
+ * and reduce grids through this one registry.
  */
 
 #ifndef PERSIM_EXP_FIGURES_HH
 #define PERSIM_EXP_FIGURES_HH
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "exp/json.hh"
 #include "exp/runner.hh"
+#include "exp/spec.hh"
 
 namespace persim::exp
 {
 
+/** One scalar stat, summed over a job's stat tree. */
+struct StatRef
+{
+    /**
+     * Stat group name. A trailing "[*]" sums the stat over every
+     * instance of the group: "persist.arbiter[*]" covers
+     * persist.arbiter[0], persist.arbiter[1], ...
+     */
+    std::string group;
+    std::string scalar;
+};
+
+/** How a grid's cells reduce to its table. */
+struct Reduction
+{
+    enum class Metric
+    {
+        Throughput, ///< transactions per Mcycle
+        ExecTicks,  ///< execution time
+        Stat,       ///< sum of `stats`
+    };
+    Metric metric = Metric::Throughput;
+
+    /** Metric::Stat: the stats summed into each cell. */
+    std::vector<StatRef> stats;
+
+    /**
+     * Metric::Stat: when non-empty, the cell is the percentage
+     * 100 * sum(stats) / sum(percentOf) instead of the plain sum.
+     */
+    std::vector<StatRef> percentOf;
+
+    /**
+     * Column that normalizes every other cell of its row (same
+     * workload, same seed); empty reports raw metric values.
+     */
+    std::string baseline;
+
+    /** Keep the baseline column (all 1.0) in the table. */
+    bool showBaseline = true;
+
+    /** Column means: geometric (true) or arithmetic. */
+    bool gmean = true;
+};
+
+/** One named experiment grid and its table. */
+struct Grid
+{
+    /** "fig11", "abl-epoch-window", ...; also the sweep name. */
+    std::string name;
+    std::string title;
+
+    /** Operations per thread when the caller passes 0. */
+    std::uint64_t defaultOps = 300;
+
+    /** Row axis: micro names or synthetic presets. */
+    std::vector<std::string> workloads;
+
+    /**
+     * Column axis: one spec per column carrying its configLabel and
+     * every model/barrier/knob field; workload, cores, ops, seed and
+     * sweep are filled in at expansion.
+     */
+    std::vector<ExperimentSpec> configs;
+
+    Reduction reduce;
+};
+
+/** Every registered grid, figures first. */
+const std::vector<Grid> &grids();
+
 /**
- * One figure reduced to rows (workloads) x cols (configs).
+ * The grid called @p name. Figures also answer to their bare number
+ * ("11" is "fig11"). Throws SimFatal listing the known names when
+ * nothing matches.
+ */
+const Grid &findGrid(const std::string &name);
+
+/**
+ * Expand grid @p name: workloads x configs, workload-major.
+ *
+ * @param ops   Operations per thread; 0 picks the grid's default.
+ * @param cores Core count (32 reproduces Table 1).
+ * @param seed  Base workload seed.
+ */
+Sweep figureSweep(const std::string &name, std::uint64_t ops = 0,
+                  unsigned cores = 32, std::uint64_t seed = 1);
+
+/** figureSweep("fig<figure>", ...): paper figure 11, 12, 13 or 14. */
+Sweep figureSweep(int figure, std::uint64_t ops = 0, unsigned cores = 32,
+                  std::uint64_t seed = 1);
+
+/**
+ * One grid reduced to rows (workloads) x cols (configs).
  *
  * When the sweep ran the grid over several seeds (persim_sweep
  * --seeds N), each cell is the arithmetic mean over the per-seed
@@ -64,16 +160,17 @@ double amean(const std::vector<double> &xs);
 double ciHalfWidth95(const std::vector<double> &xs);
 
 /**
- * Fraction (in %) of persisted epochs that were flushed early because
- * of a conflict — Figure 12's metric — for one outcome.
+ * @p reduce's metric for one finished job, before normalization.
+ * Throws SimFatal when a StatRef matches no scalar in the job's stat
+ * tree.
  */
-double conflictPct(const JobOutcome &outcome);
+double metricValue(const Reduction &reduce, const JobOutcome &outcome);
 
-/** Reduce @p outcomes to figure @p figure's table. */
-FigureTable figureTable(int figure,
+/** Reduce @p outcomes to grid @p name's table. */
+FigureTable figureTable(const std::string &name,
                         const std::vector<JobOutcome> &outcomes);
 
-/** Render as an aligned text table (the bench binaries' format). */
+/** Render as an aligned text table. */
 void printFigureTable(std::ostream &os, const FigureTable &table);
 
 /** Serialize: {"title", "rows", "cols", "cells", "means", ...}. */

@@ -70,7 +70,6 @@ outcomeToWire(const JobOutcome &outcome)
     wire["error"] = JsonValue(outcome.error);
     wire["wallMs"] = JsonValue(outcome.wallMs);
     wire["result"] = simResultToJson(outcome.result);
-    wire["stats"] = flatStatsToJson(outcome.stats);
     wire["groups"] = outcome.statTree;
     return wire;
 }
@@ -92,9 +91,6 @@ outcomeFromWire(const JsonValue &wire, const ExperimentSpec &spec,
         out.wallMs = v->asNumber();
     if (const JsonValue *v = wire.get("result"))
         out.result = simResultFromJson(*v);
-    if (const JsonValue *v = wire.get("stats"))
-        for (const auto &[key, value] : v->members())
-            out.stats[key] = value.asNumber();
     if (const JsonValue *v = wire.get("groups"))
         out.statTree = *v;
     return out;
@@ -105,13 +101,7 @@ gridFingerprint(const std::vector<ExperimentSpec> &jobs)
 {
     std::uint64_t h = 1469598103934665603ULL; // FNV offset basis
     for (const ExperimentSpec &spec : jobs) {
-        h = fnv1a(h, spec.id());
-        const std::uint64_t ops = spec.ops;
-        const std::uint64_t cores = spec.cores;
-        const std::uint64_t pinned = spec.pinnedRetryInterval;
-        h = fnv1a(h, &ops, sizeof(ops));
-        h = fnv1a(h, &cores, sizeof(cores));
-        h = fnv1a(h, &pinned, sizeof(pinned));
+        h = fnv1a(h, spec.toJson().dump(0));
         h = fnv1a(h, spec.traceFile);
     }
     return h;

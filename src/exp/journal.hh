@@ -45,9 +45,9 @@ namespace persim::exp
 
 /**
  * Full-fidelity serialization of one JobOutcome for the journal and
- * the sandbox pipe: everything JobOutcome::toJson() emits plus the
- * flat stats map and wallMs, so figure tables and telemetry can be
- * rebuilt without re-running the cell.
+ * the sandbox pipe: everything JobOutcome::toJson() emits plus
+ * wallMs, so figure tables and telemetry can be rebuilt without
+ * re-running the cell.
  */
 JsonValue outcomeToWire(const JobOutcome &outcome);
 
@@ -61,7 +61,8 @@ JobOutcome outcomeFromWire(const JsonValue &wire,
 
 /**
  * Order-sensitive fingerprint over every field that determines a
- * cell's simulated result (id, ops, cores, pinned-retry, trace file).
+ * cell's simulated result: each spec's toJson() document plus its
+ * trace file.
  * Two grids with equal fingerprints and equal sizes produce the same
  * cells, so resuming across them is sound; anything else is a
  * mismatch the resume path must refuse.

@@ -97,9 +97,7 @@ runJob(const ExperimentSpec &spec, const JobControl &ctl)
         const auto start = std::chrono::steady_clock::now();
         try {
             fault::maybeInject(ctl.index, ctl.cancel);
-            model::SystemConfig cfg = spec.toSystemConfig();
-            if (ctl.tweak)
-                ctl.tweak(cfg);
+            const model::SystemConfig cfg = spec.toSystemConfig();
             model::System sys(cfg);
             sys.setCancelFlag(ctl.cancel);
             std::shared_ptr<workload::trace::TraceCaptureWriter>
@@ -109,11 +107,7 @@ runJob(const ExperimentSpec &spec, const JobControl &ctl)
                 sys.setWorkload(static_cast<CoreId>(t),
                                 std::move(workloads[t]));
             out.result = sys.run();
-            {
-                prof::ScopedPhase profPhase(prof::Phase::StatExport);
-                out.stats = sys.stats();
-                out.statTree = statGroupsToJson(sys.statGroups());
-            }
+            out.statTree = statGroupsToJson(sys.statGroups());
             // Captures are written only for completed runs, so a
             // retried attempt never leaves a partial trace behind.
             if (capture)
@@ -141,18 +135,6 @@ runJob(const ExperimentSpec &spec, const JobControl &ctl)
         }
     }
     return out;
-}
-
-JobOutcome
-runJob(const ExperimentSpec &spec, unsigned maxAttempts,
-       const std::function<void(model::SystemConfig &)> &tweak,
-       const std::function<void(unsigned)> &onAttempt)
-{
-    JobControl ctl;
-    ctl.maxAttempts = maxAttempts;
-    ctl.tweak = tweak;
-    ctl.onAttempt = onAttempt;
-    return runJob(spec, ctl);
 }
 
 // ---------------------------------------------------------------------

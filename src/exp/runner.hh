@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -95,7 +94,6 @@ struct JobOutcome
     std::string termSignal;
 
     model::SimResult result;
-    std::map<std::string, double> stats;
 
     /** Structured StatGroup tree (statGroupsToJson). */
     JsonValue statTree;
@@ -137,9 +135,6 @@ struct JobControl
      */
     std::atomic<bool> *cancel = nullptr;
 
-    /** Config hook applied after the spec's own SystemConfig is built. */
-    std::function<void(model::SystemConfig &)> tweak;
-
     /**
      * Observer called at the start of every attempt (1-based), after
      * any backoff sleep — so watchdog deadlines restarted here do not
@@ -149,21 +144,7 @@ struct JobControl
 };
 
 /** Run one job synchronously on the calling thread. */
-JobOutcome runJob(const ExperimentSpec &spec, const JobControl &ctl);
-
-/**
- * Legacy convenience overload (tests, ablation benches).
- *
- * @param tweak Optional config hook applied after the spec's own
- *              SystemConfig is built (ablation benches use this).
- * @param onAttempt Optional observer called at the start of every
- *                  attempt (1-based); telemetry flips a job to
- *                  "retrying" from attempt 2 on.
- */
-JobOutcome runJob(const ExperimentSpec &spec, unsigned maxAttempts = 1,
-                  const std::function<void(model::SystemConfig &)> &tweak =
-                      {},
-                  const std::function<void(unsigned)> &onAttempt = {});
+JobOutcome runJob(const ExperimentSpec &spec, const JobControl &ctl = {});
 
 /**
  * Generic work-stealing index pool: runs fn(jobIndex) for every index

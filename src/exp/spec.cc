@@ -1,24 +1,11 @@
 #include "exp/spec.hh"
 
 #include "sim/logging.hh"
-#include "workload/synthetic/presets.hh"
 #include "workload/trace/trace_capture.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim::exp
 {
-
-namespace
-{
-
-const std::vector<persist::BarrierKind> kBepVariants = {
-    persist::BarrierKind::LB,
-    persist::BarrierKind::LBIDT,
-    persist::BarrierKind::LBPF,
-    persist::BarrierKind::LBPP,
-};
-
-} // namespace
 
 bool
 ExperimentSpec::isMicro() const
@@ -48,7 +35,16 @@ ExperimentSpec::toSystemConfig() const
         cfg.barrier.checkpointLines = 0;
     }
     cfg.seed = seed;
-    cfg.llcBank.pinnedRetryInterval = pinnedRetryInterval;
+    cfg.barrier.invalidatingFlush = invalidatingFlush;
+    cfg.barrier.useArbiter = useArbiter;
+    cfg.barrier.maxInflightEpochs = maxInflightEpochs;
+    cfg.barrier.idtRegsPerEpoch = idtRegsPerEpoch;
+    cfg.barrier.avoidTaggedVictims = avoidTaggedVictims;
+    cfg.nvram.writeLatency = nvramWriteLatency;
+    cfg.l1.geometry.policy = replacementPolicy;
+    cfg.llcBank.geometry.policy = replacementPolicy;
+    if (llcBankBytes != 0)
+        cfg.llcBank.geometry.sizeBytes = llcBankBytes;
     return cfg;
 }
 
@@ -89,10 +85,28 @@ ExperimentSpec::toJson() const
     out["cores"] = JsonValue(cores);
     out["ops"] = JsonValue(ops);
     out["seed"] = JsonValue(seed);
-    // Emitted only when overridden so existing golden outputs (which
-    // predate the knob) stay byte-identical.
-    if (pinnedRetryInterval != kDefaultPinnedRetryInterval)
-        out["pinnedRetryInterval"] = JsonValue(pinnedRetryInterval);
+    // Ablation knobs are emitted only when they differ from their
+    // defaults, so the documents of grids that leave them alone (the
+    // paper figures) keep their recorded digests.
+    const ExperimentSpec def;
+    if (invalidatingFlush != def.invalidatingFlush)
+        out["invalidatingFlush"] = JsonValue(invalidatingFlush);
+    if (useArbiter != def.useArbiter)
+        out["useArbiter"] = JsonValue(useArbiter);
+    if (maxInflightEpochs != def.maxInflightEpochs)
+        out["maxInflightEpochs"] = JsonValue(maxInflightEpochs);
+    if (idtRegsPerEpoch != def.idtRegsPerEpoch)
+        out["idtRegsPerEpoch"] = JsonValue(idtRegsPerEpoch);
+    if (nvramWriteLatency != def.nvramWriteLatency)
+        out["nvramWriteLatency"] = JsonValue(nvramWriteLatency);
+    if (replacementPolicy != def.replacementPolicy)
+        out["replacementPolicy"] = JsonValue(
+            replacementPolicy == cache::ReplacementPolicy::Lru ? "lru"
+                                                               : "random");
+    if (avoidTaggedVictims != def.avoidTaggedVictims)
+        out["avoidTaggedVictims"] = JsonValue(avoidTaggedVictims);
+    if (llcBankBytes != def.llcBankBytes)
+        out["llcBankBytes"] = JsonValue(llcBankBytes);
     return out;
 }
 
@@ -138,113 +152,6 @@ mixSeed(std::uint64_t base, std::uint64_t salt)
     z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
     return z ^ (z >> 31);
-}
-
-const std::vector<int> &
-knownFigures()
-{
-    static const std::vector<int> figs = {11, 12, 13, 14};
-    return figs;
-}
-
-Sweep
-figureSweep(int figure, std::uint64_t ops, unsigned cores,
-            std::uint64_t seed)
-{
-    Sweep sweep;
-    sweep.name = "fig" + std::to_string(figure);
-
-    auto addMicroGrid = [&](std::uint64_t defOps) {
-        const std::uint64_t n = ops ? ops : defOps;
-        for (auto kind : workload::allMicroKinds()) {
-            for (auto barrier : kBepVariants) {
-                ExperimentSpec spec;
-                spec.sweep = sweep.name;
-                spec.workload = workload::toString(kind);
-                spec.configLabel = persist::toString(barrier);
-                spec.pm = model::PersistencyModel::BufferedEpoch;
-                spec.barrier = barrier;
-                spec.cores = cores;
-                spec.ops = n;
-                spec.seed = seed;
-                sweep.jobs.push_back(std::move(spec));
-            }
-        }
-    };
-
-    struct BspConfig
-    {
-        const char *label;
-        model::PersistencyModel pm;
-        persist::BarrierKind barrier;
-        unsigned epochSize;
-        bool logging;
-    };
-
-    auto addBspGrid = [&](const std::vector<BspConfig> &configs,
-                          std::uint64_t defOps) {
-        const std::uint64_t n = ops ? ops : defOps;
-        for (const auto &preset : workload::syntheticPresetNames()) {
-            for (const BspConfig &c : configs) {
-                ExperimentSpec spec;
-                spec.sweep = sweep.name;
-                spec.workload = preset;
-                spec.configLabel = c.label;
-                spec.pm = c.pm;
-                spec.barrier = c.barrier;
-                spec.epochSize = c.epochSize;
-                spec.logging = c.logging;
-                spec.cores = cores;
-                spec.ops = n;
-                spec.seed = seed;
-                sweep.jobs.push_back(std::move(spec));
-            }
-        }
-    };
-
-    using model::PersistencyModel;
-    using persist::BarrierKind;
-
-    switch (figure) {
-    case 11: // BEP throughput, micros x {LB, LB+IDT, LB+PF, LB++}
-    case 12: // same grid; the metric (conflict %) differs
-        addMicroGrid(300);
-        break;
-    case 13: // BSP epoch-size study: NP baseline + LB at 300/1K/10K
-        addBspGrid(
-            {
-                {"NP", PersistencyModel::NoPersistency, BarrierKind::None,
-                 0, false},
-                {"LB300", PersistencyModel::BufferedStrict,
-                 BarrierKind::LB, 300, true},
-                {"LB1K", PersistencyModel::BufferedStrict, BarrierKind::LB,
-                 1000, true},
-                {"LB10K", PersistencyModel::BufferedStrict,
-                 BarrierKind::LB, 10000, true},
-            },
-            20000);
-        break;
-    case 14: // BSP variants at epoch size 10000
-        addBspGrid(
-            {
-                {"NP", PersistencyModel::NoPersistency, BarrierKind::None,
-                 0, false},
-                {"LB", PersistencyModel::BufferedStrict, BarrierKind::LB,
-                 10000, true},
-                {"LB+IDT", PersistencyModel::BufferedStrict,
-                 BarrierKind::LBIDT, 10000, true},
-                {"LB++", PersistencyModel::BufferedStrict,
-                 BarrierKind::LBPP, 10000, true},
-                {"LB++NOLOG", PersistencyModel::BufferedStrict,
-                 BarrierKind::LBPP, 10000, false},
-            },
-            20000);
-        break;
-    default:
-        fatal("figureSweep: unknown figure ", figure,
-              " (known: 11, 12, 13, 14)");
-    }
-    return sweep;
 }
 
 } // namespace persim::exp

@@ -9,9 +9,8 @@
  * vector of specs, and any subset can run on any thread in any order
  * without changing the results.
  *
- * figureSweep() expands the exact config grids of the paper's
- * Figures 11-14, so the bench binaries, the persim_sweep driver, and
- * the tests all share one definition of each figure.
+ * The named grids built from specs (the paper's figures and the §7
+ * ablations) live in exp/figures.hh.
  */
 
 #ifndef PERSIM_EXP_SPEC_HH
@@ -59,16 +58,34 @@ struct ExperimentSpec
     std::uint64_t ops = 300;
     std::uint64_t seed = 1;
 
-    /**
-     * Backoff (cycles) before an LLC miss re-scans for a victim when
-     * every way of its set is pinned; see
-     * LlcBankConfig::pinnedRetryInterval. The default matches the
-     * historical hardcoded value, so figure outputs are unchanged
-     * unless a sweep overrides it.
-     */
-    Tick pinnedRetryInterval = kDefaultPinnedRetryInterval;
+    // Ablation knobs. Each maps onto one SystemConfig field and
+    // defaults to that field's default; toJson() emits a knob only
+    // when it differs from its default.
 
-    static constexpr Tick kDefaultPinnedRetryInterval = 8;
+    /** clflush-style invalidating flush instead of clwb (§7). */
+    bool invalidatingFlush = persist::BarrierConfig{}.invalidatingFlush;
+
+    /** Per-core arbiter (O(n)) vs all-to-all bank messages (§4.1). */
+    bool useArbiter = persist::BarrierConfig{}.useArbiter;
+
+    /** In-flight epochs per core (§4.3). */
+    unsigned maxInflightEpochs = persist::BarrierConfig{}.maxInflightEpochs;
+
+    /** IDT dependence/inform register pairs per epoch (§4.3). */
+    unsigned idtRegsPerEpoch = persist::BarrierConfig{}.idtRegsPerEpoch;
+
+    /** NVRAM write latency in cycles. */
+    Tick nvramWriteLatency = nvm::NvramConfig{}.writeLatency;
+
+    /** Victim selection in the L1s and LLC banks. */
+    cache::ReplacementPolicy replacementPolicy =
+        cache::CacheGeometry{}.policy;
+
+    /** Prefer untagged LLC victims (avoids replacement conflicts). */
+    bool avoidTaggedVictims = persist::BarrierConfig{}.avoidTaggedVictims;
+
+    /** LLC bank capacity in bytes; 0 keeps the system's default. */
+    std::uint64_t llcBankBytes = 0;
 
     /**
      * When non-empty, the cell's cores replay this trace file (binary
@@ -135,20 +152,6 @@ struct Sweep
      */
     void shard(unsigned index, unsigned count);
 };
-
-/**
- * The full config grid of paper figure @p figure (11, 12, 13 or 14).
- *
- * @param ops   Operations per thread; 0 picks the figure's default
- *              (300 for the micro figures, 20000 for the BSP ones).
- * @param cores Core count (32 reproduces Table 1).
- * @param seed  Base workload seed.
- */
-Sweep figureSweep(int figure, std::uint64_t ops = 0, unsigned cores = 32,
-                  std::uint64_t seed = 1);
-
-/** The figures figureSweep() understands. */
-const std::vector<int> &knownFigures();
 
 /** Deterministic seed mixing (splitmix64) for derived per-job seeds. */
 std::uint64_t mixSeed(std::uint64_t base, std::uint64_t salt);

@@ -44,15 +44,6 @@ statGroupsToJson(const std::vector<const StatGroup *> &groups)
 }
 
 JsonValue
-flatStatsToJson(const std::map<std::string, double> &stats)
-{
-    JsonValue out = JsonValue::object();
-    for (const auto &[k, v] : stats)
-        out[k] = JsonValue(v);
-    return out;
-}
-
-JsonValue
 simResultToJson(const model::SimResult &res)
 {
     JsonValue out = JsonValue::object();

@@ -2,11 +2,9 @@
  * @file
  * Structured export of simulation statistics.
  *
- * Three views of the same data:
+ * Two views of the data:
  *   - statGroupsToJson(): the full StatGroup tree — scalars plus
  *     distributions with count/mean/stdev/min/max/sum/p50/p95/p99.
- *   - flatStatsToJson(): the flat "<component>.<stat>" -> value map
- *     (what System::stats() returns), for easy diffing.
  *   - writeCsv(): RFC-4180-style CSV tables for figure data.
  *
  * All output is deterministic: group and stat order follow registration
@@ -16,7 +14,6 @@
 #ifndef PERSIM_EXP_STATS_EXPORT_HH
 #define PERSIM_EXP_STATS_EXPORT_HH
 
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -36,9 +33,6 @@ JsonValue distributionToJson(const Distribution &d);
  * {"<group>": {"scalars": {...}, "distributions": {...}}}.
  */
 JsonValue statGroupsToJson(const std::vector<const StatGroup *> &groups);
-
-/** Serialize a flat stats map as one JSON object. */
-JsonValue flatStatsToJson(const std::map<std::string, double> &stats);
 
 /** Serialize a SimResult (exec/drain ticks, flags, violations). */
 JsonValue simResultToJson(const model::SimResult &res);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 
@@ -187,6 +188,9 @@ TEST(ExpSpec, FigureSweepsHaveTheRightShape)
     EXPECT_EQ(exp::figureSweep(13).jobs.size(), 9u * 4u);
     EXPECT_EQ(exp::figureSweep(14).jobs.size(), 9u * 5u);
     EXPECT_THROW(exp::figureSweep(99), SimFatal);
+    // Figures answer to their bare number too.
+    EXPECT_EQ(&exp::findGrid("11"), &exp::findGrid("fig11"));
+    EXPECT_THROW(exp::findGrid("abl-none"), SimFatal);
 }
 
 TEST(ExpSpec, CrossSeedsExpandsDeterministically)
@@ -277,9 +281,9 @@ TEST(ExpRunner, ParallelSweepIsByteIdenticalToSerial)
 
     // The figure table is identical too.
     const std::string t1 =
-        exp::figureTableToJson(exp::figureTable(11, out1)).dump(2);
+        exp::figureTableToJson(exp::figureTable("fig11", out1)).dump(2);
     const std::string t8 =
-        exp::figureTableToJson(exp::figureTable(11, out8)).dump(2);
+        exp::figureTableToJson(exp::figureTable("fig11", out8)).dump(2);
     EXPECT_EQ(t1, t8);
 }
 
@@ -367,7 +371,7 @@ TEST(ExpRunner, Fig11TableNormalizesLbToOne)
         EXPECT_TRUE(o.result.violations.empty()) << o.spec.id();
     }
 
-    const exp::FigureTable table = exp::figureTable(11, outcomes);
+    const exp::FigureTable table = exp::figureTable("fig11", outcomes);
     ASSERT_EQ(table.rows.size(), 5u);
     ASSERT_EQ(table.cols.size(), 4u);
     ASSERT_EQ(table.cols[0], "LB");
@@ -383,6 +387,139 @@ TEST(ExpRunner, Fig11TableNormalizesLbToOne)
     while (std::getline(in, line))
         ++lines;
     EXPECT_EQ(lines, 7);
+}
+
+// ---------------------------------------------------------------------
+// Grid registry
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::vector<JobOutcome>
+runQuiet(const Sweep &sweep)
+{
+    exp::RunnerOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    exp::SweepRunner runner(opts);
+    return runner.run(sweep);
+}
+
+std::size_t
+colIndex(const exp::FigureTable &table, const std::string &col)
+{
+    const auto it = std::find(table.cols.begin(), table.cols.end(), col);
+    EXPECT_NE(it, table.cols.end()) << col;
+    return static_cast<std::size_t>(it - table.cols.begin());
+}
+
+} // namespace
+
+TEST(GridRegistry, EveryGridRunsCleanAndFillsItsTable)
+{
+    for (const exp::Grid &grid : exp::grids()) {
+        SCOPED_TRACE(grid.name);
+        const Sweep sweep =
+            exp::figureSweep(grid.name, /*ops=*/40, /*cores=*/4);
+        ASSERT_EQ(sweep.jobs.size(),
+                  grid.workloads.size() * grid.configs.size());
+        const std::vector<JobOutcome> outcomes = runQuiet(sweep);
+        for (const JobOutcome &o : outcomes) {
+            EXPECT_TRUE(o.ok) << o.spec.id() << ": " << o.error;
+            EXPECT_TRUE(o.result.completed) << o.spec.id();
+            EXPECT_TRUE(o.result.violations.empty()) << o.spec.id();
+        }
+
+        // 0.0 marks a missing cell; it may appear only where the
+        // cell's own metric really is 0 (no stalls, no overflows).
+        // A stat key that matches nothing throws here instead.
+        const exp::FigureTable table =
+            exp::figureTable(grid.name, outcomes);
+        ASSERT_EQ(table.rows, grid.workloads);
+        for (std::size_t r = 0; r < table.rows.size(); ++r) {
+            for (std::size_t c = 0; c < table.cols.size(); ++c) {
+                if (table.cells[r][c] != 0.0)
+                    continue;
+                const auto o = std::find_if(
+                    outcomes.begin(), outcomes.end(),
+                    [&](const JobOutcome &x) {
+                        return x.spec.workload == table.rows[r] &&
+                               x.spec.configLabel == table.cols[c];
+                    });
+                ASSERT_NE(o, outcomes.end())
+                    << table.rows[r] << "/" << table.cols[c];
+                EXPECT_EQ(exp::metricValue(grid.reduce, *o), 0.0)
+                    << o->spec.id();
+            }
+        }
+    }
+}
+
+TEST(GridRegistry, SmallerEpochWindowStallsMoreBarriers)
+{
+    // The stalls are summed over persist.arbiter[c]; a reader of the
+    // wrong key would see 0 at every window.
+    const Sweep sweep =
+        exp::figureSweep("abl-epoch-window", /*ops=*/60, /*cores=*/4);
+    const exp::FigureTable table =
+        exp::figureTable(sweep.name, runQuiet(sweep));
+    ASSERT_EQ(table.rows.size(), 1u);
+    const double w2 = table.cells[0][colIndex(table, "w2")];
+    const double w8 = table.cells[0][colIndex(table, "w8")];
+    EXPECT_GT(w8, 0.0);
+    EXPECT_GT(w2, w8);
+}
+
+TEST(GridRegistry, StatRefThatMatchesNothingIsFatal)
+{
+    JobOutcome o;
+    o.ok = true;
+    o.statTree = JsonValue::parse(
+        R"({"persist.arbiter[0]": {"scalars": {"barrierStalls": 3}},
+            "persist.arbiter[1]": {"scalars": {"barrierStalls": 4}},
+            "persist": {"scalars": {"interConflicts": 0}}})");
+    exp::Reduction reduce;
+    reduce.metric = exp::Reduction::Metric::Stat;
+
+    reduce.stats = {{"persist.arbiter[*]", "barrierStalls"}};
+    EXPECT_EQ(exp::metricValue(reduce, o), 7.0);
+    // A stat that exists but is 0 is a real 0, not a missing key.
+    reduce.stats = {{"persist", "interConflicts"}};
+    EXPECT_EQ(exp::metricValue(reduce, o), 0.0);
+
+    // The pre-registry key, a wrong scalar and a wrong group.
+    for (const exp::StatRef &stale :
+         {exp::StatRef{"persist.arbiter0", "barrierStalls"},
+          exp::StatRef{"persist.arbiter[*]", "barrierStall"},
+          exp::StatRef{"mc[*]", "nvram.writes"}}) {
+        reduce.stats = {stale};
+        EXPECT_THROW(exp::metricValue(reduce, o), SimFatal)
+            << stale.group << "." << stale.scalar;
+    }
+    reduce.stats = {{"persist", "interConflicts"}};
+    reduce.percentOf = {{"persist", "intraConflicts"}};
+    EXPECT_THROW(exp::metricValue(reduce, o), SimFatal);
+}
+
+TEST(GridRegistry, KnobsReachTheSystemConfigAndTheJson)
+{
+    const Sweep sweep = exp::figureSweep("abl-replacement", 0, 4);
+    const ExperimentSpec &spec = sweep.jobs.back(); // random-noavoid
+    const model::SystemConfig cfg = spec.toSystemConfig();
+    EXPECT_EQ(cfg.llcBank.geometry.sizeBytes, 16u * 1024u);
+    EXPECT_EQ(cfg.llcBank.geometry.policy,
+              cache::ReplacementPolicy::Random);
+    EXPECT_EQ(cfg.l1.geometry.policy, cache::ReplacementPolicy::Random);
+    EXPECT_FALSE(cfg.barrier.avoidTaggedVictims);
+    const JsonValue json = spec.toJson();
+    EXPECT_EQ(json.get("replacementPolicy")->asString(), "random");
+    EXPECT_FALSE(json.get("avoidTaggedVictims")->asBool());
+
+    // Knobs left at their defaults are not serialized.
+    const JsonValue plain = exp::figureSweep(11).jobs.front().toJson();
+    EXPECT_EQ(plain.get("maxInflightEpochs"), nullptr);
+    EXPECT_EQ(plain.get("llcBankBytes"), nullptr);
 }
 
 // ---------------------------------------------------------------------

@@ -304,7 +304,7 @@ TEST(Journal, OutcomeWireRoundTripsByteExact)
         JsonValue::parse(wireText), spec, out.index);
 
     EXPECT_EQ(out.toJson().dump(2), back.toJson().dump(2));
-    EXPECT_EQ(out.stats.size(), back.stats.size());
+    EXPECT_TRUE(out.statTree == back.statTree);
     EXPECT_EQ(exp::outcomeToWire(back).dump(0), wireText);
 }
 
@@ -386,6 +386,18 @@ TEST(Journal, GridFingerprintTracksResultRelevantFields)
     EXPECT_EQ(exp::gridFingerprint(a.jobs),
               exp::gridFingerprint(b.jobs));
     b.jobs[1].ops += 1;
+    EXPECT_NE(exp::gridFingerprint(a.jobs),
+              exp::gridFingerprint(b.jobs));
+}
+
+TEST(Journal, GridFingerprintCoversAblationKnobs)
+{
+    // Two grids equal in everything but one ablation knob simulate
+    // different cells, so a journal of one must not resume the other.
+    Sweep a = tinySweep(3);
+    Sweep b = tinySweep(3);
+    b.jobs[2].maxInflightEpochs = 2;
+    EXPECT_EQ(a.jobs[2].id(), b.jobs[2].id());
     EXPECT_NE(exp::gridFingerprint(a.jobs),
               exp::gridFingerprint(b.jobs));
 }

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "exp/figures.hh"
 #include "exp/json.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "exp/figures.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "exp/telemetry.hh"

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "model/system.hh"
@@ -164,6 +165,22 @@ struct BspCase
     std::uint64_t seed;
 };
 
+std::string
+bspCaseName(const BspCase &c)
+{
+    return std::string(c.preset) + "_e" + std::to_string(c.epochSize) +
+           "_s" + std::to_string(c.seed);
+}
+
+// Without a printer GoogleTest dumps the raw bytes of the case, which
+// include the preset pointer and padding, so the listed test names would
+// change with address-space randomization on every run.
+void
+PrintTo(const BspCase &c, std::ostream *os)
+{
+    *os << bspCaseName(c);
+}
+
 class BspProperties : public testing::TestWithParam<BspCase>
 {
 };
@@ -196,9 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
                     BspCase{"intruder", 50, 5},
                     BspCase{"dedup", 300, 6}),
     [](const testing::TestParamInfo<BspCase> &info) {
-        return std::string(info.param.preset) + "_e" +
-               std::to_string(info.param.epochSize) + "_s" +
-               std::to_string(info.param.seed);
+        return bspCaseName(info.param);
     });
 
 // ---------------------------------------------------------------------

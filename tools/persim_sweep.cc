@@ -2,14 +2,15 @@
  * @file
  * persim_sweep — parallel experiment-orchestration driver.
  *
- * Regenerates any paper figure's full data grid in one command:
+ * Regenerates any registered grid (a paper figure, a side table or a
+ * §7 ablation; see exp/figures.hh) in one command:
  *
  *   persim_sweep --figure 11 --jobs 8 --out fig11.json
- *   persim_sweep --figure 13 --jobs 4 --csv fig13.csv
+ *   persim_sweep --figure abl-epoch-window --jobs 4 --csv window.csv
  *   persim_sweep --figure 11 --trace fig11.trace.json \
  *                --trace-job hash/LB++/s1 --trace-flags Epoch,Flush
  *
- * The JSON output is deterministic: the same figure, ops, cores, and
+ * The JSON output is deterministic: the same grid, ops, cores, and
  * seed produce byte-identical files at any --jobs value, so sweep
  * artifacts can be diffed across commits (and across serial/parallel
  * runs). Wall-clock and scheduling info never enter --out; use
@@ -82,10 +83,13 @@ void
 usage(const char *argv0)
 {
     std::printf(
-        "usage: %s --figure N [options]\n"
-        "  --figure N        paper figure to regenerate: 11, 12, 13, 14\n"
+        "usage: %s --figure NAME [options]\n"
+        "  --figure NAME     grid to run: a paper figure (fig11..fig14,\n"
+        "                    or just 11..14), a side table or an "
+        "ablation;\n"
+        "                    --list without --figure names them all\n"
         "  --jobs N          worker threads (default 1)\n"
-        "  --ops N           operations per thread (default: figure's)\n"
+        "  --ops N           operations per thread (default: grid's)\n"
         "  --cores N         simulated cores per job (default 32)\n"
         "  --seed N          base workload seed (default 1)\n"
         "  --seeds N         replicate the grid over N derived seeds;\n"
@@ -104,8 +108,6 @@ usage(const char *argv0)
         "                    D/<sweep>_<id>.ptrace (id with '/' as '_')\n"
         "  --replay-dir D    replay each job from D/<sweep>_<id>.ptrace\n"
         "                    (the paths --capture-dir writes)\n"
-        "  --pinned-retry N  LLC pinned-victim retry backoff in cycles\n"
-        "                    (default 8; applied to every job)\n"
         "  --retries N       extra attempts per failed job (default 1);\n"
         "                    retries back off exponentially (100 ms "
         "base,\n"
@@ -167,7 +169,8 @@ usage(const char *argv0)
         "RSS,\n"
         "                    events/sec; separate from deterministic "
         "output)\n"
-        "  --list            print the job grid and exit\n"
+        "  --list            print the job grid (or, without --figure,\n"
+        "                    every grid name and title) and exit\n"
         "  --quiet           no per-job progress lines\n"
         "  --help\n",
         argv0);
@@ -178,7 +181,7 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    int figure = 0;
+    std::string figure;
     unsigned jobs = 1;
     std::uint64_t ops = 0;
     unsigned cores = 32;
@@ -208,7 +211,6 @@ main(int argc, char **argv)
     unsigned shardCount = 1;
     Tick intervalTicks = 0;
     bool intervalSet = false;
-    Tick pinnedRetry = exp::ExperimentSpec::kDefaultPinnedRetryInterval;
     bool includeStats = true;
     bool listOnly = false;
     bool liveProgress = false;
@@ -232,8 +234,7 @@ main(int argc, char **argv)
         else if (arg == "--replay-dir")
             replayDir = value("--replay-dir");
         else if (arg == "--figure")
-            figure = static_cast<int>(
-                parseNumU32("--figure", value("--figure")));
+            figure = value("--figure");
         else if (arg == "--jobs")
             jobs = parseNumU32("--jobs", value("--jobs"));
         else if (arg == "--ops")
@@ -244,9 +245,6 @@ main(int argc, char **argv)
             seed = parseNum("--seed", value("--seed"));
         else if (arg == "--seeds")
             numSeeds = parseNumU32("--seeds", value("--seeds"));
-        else if (arg == "--pinned-retry")
-            pinnedRetry =
-                parseNum("--pinned-retry", value("--pinned-retry"));
         else if (arg == "--retries")
             retries = parseNumU32("--retries", value("--retries"));
         else if (arg == "--job-timeout-ms")
@@ -314,9 +312,20 @@ main(int argc, char **argv)
         }
     }
 
-    if (figure == 0) {
+    if (figure.empty() && listOnly) {
+        for (const exp::Grid &g : exp::grids())
+            std::printf("%-26s %s\n", g.name.c_str(), g.title.c_str());
+        return 0;
+    }
+    if (figure.empty()) {
         std::fprintf(stderr, "--figure is required\n");
         usage(argv[0]);
+        return 2;
+    }
+    try {
+        exp::findGrid(figure);
+    } catch (const SimFatal &e) {
+        std::fprintf(stderr, "--figure: %s\n", e.what());
         return 2;
     }
 
@@ -346,12 +355,10 @@ main(int argc, char **argv)
 
     try {
         exp::Sweep sweep = exp::figureSweep(figure, ops, cores, seed);
-        for (exp::ExperimentSpec &spec : sweep.jobs)
-            spec.pinnedRetryInterval = pinnedRetry;
 
         if (workloadFilter == "trace") {
             // Replace the workload axis with one row replaying the
-            // trace through every config of the figure. The trace
+            // trace through every config of the grid. The trace
             // header fixes the core count and the row's name.
             auto reader = workload::trace::openTrace(replayTraceFile);
             std::vector<exp::ExperimentSpec> rows;
@@ -592,7 +599,8 @@ main(int argc, char **argv)
             sh["count"] = exp::JsonValue(shardCount);
             doc["shard"] = std::move(sh);
         }
-        const exp::FigureTable table = exp::figureTable(figure, outcomes);
+        const exp::FigureTable table =
+            exp::figureTable(sweep.name, outcomes);
         doc["table"] = exp::figureTableToJson(table);
 
         if (!outFile.empty()) {
