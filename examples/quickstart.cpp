@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <exception>
 
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "workload/workload_factory.hh"
 
@@ -57,13 +58,13 @@ main(int argc, char **argv)
                     res.violations.size());
 
         // 4. Pull a few interesting counters out of the stat tree.
-        auto stats = sys.stats();
+        const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
         std::printf("intra-thread conflicts: %.0f\n",
-                    stats["persist.intraConflicts"]);
+                    exp::sumStat(stats, {"persist", "intraConflicts"}));
         std::printf("inter-thread conflicts: %.0f\n",
-                    stats["persist.interConflicts"]);
+                    exp::sumStat(stats, {"persist", "interConflicts"}));
         std::printf("IDT resolutions:        %.0f\n",
-                    stats["persist.idtResolutions"]);
+                    exp::sumStat(stats, {"persist", "idtResolutions"}));
         return res.completed && res.violations.empty() ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -281,41 +281,6 @@ buildGrids()
     return g;
 }
 
-/**
- * Sum of @p ref over @p statTree (a JobOutcome::statTree). Fatal when
- * no group in the tree carries the scalar: a stale or misspelled key
- * would otherwise read as a table of 0s.
- */
-double
-sumStat(const JsonValue &statTree, const StatRef &ref,
-        const std::string &jobId)
-{
-    const bool perInstance = ref.group.ends_with("[*]");
-    const std::string prefix =
-        perInstance ? ref.group.substr(0, ref.group.size() - 2)
-                    : ref.group;
-    double total = 0;
-    bool found = false;
-    for (const auto &[group, stats] : statTree.members()) {
-        const bool match = perInstance
-                               ? group.starts_with(prefix) &&
-                                     group.find(']') == group.size() - 1
-                               : group == prefix;
-        if (!match)
-            continue;
-        if (const JsonValue *scalars = stats.get("scalars")) {
-            if (const JsonValue *v = scalars->get(ref.scalar)) {
-                total += v->asNumber();
-                found = true;
-            }
-        }
-    }
-    if (!found)
-        fatal("stat ", ref.group, ".", ref.scalar,
-              " matches nothing in the stat tree of ", jobId);
-    return total;
-}
-
 /** First outcome matching (workload, config, seed); nullptr if missing. */
 const JobOutcome *
 findOutcome(const std::vector<JobOutcome> &outcomes,

@@ -24,21 +24,10 @@
 #include "exp/json.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
+#include "exp/stats_export.hh"
 
 namespace persim::exp
 {
-
-/** One scalar stat, summed over a job's stat tree. */
-struct StatRef
-{
-    /**
-     * Stat group name. A trailing "[*]" sums the stat over every
-     * instance of the group: "persist.arbiter[*]" covers
-     * persist.arbiter[0], persist.arbiter[1], ...
-     */
-    std::string group;
-    std::string scalar;
-};
 
 /** How a grid's cells reduce to its table. */
 struct Reduction

@@ -3,6 +3,7 @@
 #include <type_traits>
 
 #include "prof/phase.hh"
+#include "sim/logging.hh"
 
 namespace persim::exp
 {
@@ -41,6 +42,36 @@ statGroupsToJson(const std::vector<const StatGroup *> &groups)
         entry["distributions"] = std::move(dists);
     }
     return out;
+}
+
+double
+sumStat(const JsonValue &statTree, const StatRef &ref,
+        const std::string &owner)
+{
+    const bool perInstance = ref.group.ends_with("[*]");
+    const std::string prefix =
+        perInstance ? ref.group.substr(0, ref.group.size() - 2)
+                    : ref.group;
+    double total = 0;
+    bool found = false;
+    for (const auto &[group, stats] : statTree.members()) {
+        const bool match = perInstance
+                               ? group.starts_with(prefix) &&
+                                     group.find(']') == group.size() - 1
+                               : group == prefix;
+        if (!match)
+            continue;
+        if (const JsonValue *scalars = stats.get("scalars")) {
+            if (const JsonValue *v = scalars->get(ref.scalar)) {
+                total += v->asNumber();
+                found = true;
+            }
+        }
+    }
+    if (!found)
+        fatal("stat ", ref.group, ".", ref.scalar,
+              " matches nothing in the stat tree of ", owner);
+    return total;
 }
 
 JsonValue

@@ -19,7 +19,6 @@
 #define PERSIM_MODEL_SYSTEM_HH
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -118,17 +117,13 @@ class System
     cpu::Core &core(CoreId id) { return *_cores[id]; }
     OrderingChecker *checker() { return _checker.get(); }
 
-    /** Flatten every stat into "<component>.<stat>" -> value. */
-    std::map<std::string, double> stats();
-
     /**
-     * Every StatGroup in deterministic construction order, for
-     * structured (JSON) export. Core groups exist only after run().
+     * Every StatGroup in deterministic construction order: the one way
+     * stats leave the machine (exp::statGroupsToJson for structured
+     * export, StatGroup::dump for text). Core groups exist only after
+     * run().
      */
     std::vector<const StatGroup *> statGroups() const;
-
-    /** Dump all stats as text. */
-    void dumpStats(std::ostream &os);
 
     /** Dump live machine state (windows, bank queues) for diagnosis. */
     void debugDump(std::ostream &os);

@@ -435,22 +435,6 @@ PersistController::drainAll(InlineCallback cont)
 }
 
 void
-PersistController::dumpStats(std::ostream &os)
-{
-    statGroup.dump(os);
-    for (auto &arb : _arbiters)
-        arb->statGroup.dump(os);
-}
-
-void
-PersistController::statsToMap(std::map<std::string, double> &out)
-{
-    statGroup.toMap(out);
-    for (auto &arb : _arbiters)
-        arb->statGroup.toMap(out);
-}
-
-void
 PersistController::collectStatGroups(
     std::vector<const StatGroup *> &out) const
 {

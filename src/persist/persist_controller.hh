@@ -192,12 +192,6 @@ class PersistController : public SimObject
     /** Drain every core's epochs; @p cont when all are persisted. */
     void drainAll(InlineCallback cont);
 
-    /** Dump all persist-related stat groups. */
-    void dumpStats(std::ostream &os);
-
-    /** Collect stats into a flat map. */
-    void statsToMap(std::map<std::string, double> &out);
-
     /** Append this controller's stat groups (own + per-core arbiters). */
     void collectStatGroups(std::vector<const StatGroup *> &out) const;
 

@@ -7,7 +7,7 @@ namespace persim::prof
 
 namespace detail
 {
-thread_local ThreadBlock *tlBlock = nullptr;
+constinit thread_local ThreadBlock *tlBlock = nullptr;
 } // namespace detail
 
 const char *

@@ -83,8 +83,11 @@ struct ThreadBlock
     std::atomic<std::uint64_t> samples[kPhaseCount] = {};
 };
 
-/** The calling thread's block; nullptr until Sampler::attachThread. */
-extern thread_local ThreadBlock *tlBlock;
+/**
+ * The calling thread's block; nullptr until Sampler::attachThread.
+ * constinit: read directly, not through a TLS init wrapper.
+ */
+extern constinit thread_local ThreadBlock *tlBlock;
 
 } // namespace detail
 

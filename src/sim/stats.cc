@@ -132,23 +132,6 @@ StatGroup::dump(std::ostream &os) const
 }
 
 void
-StatGroup::toMap(std::map<std::string, double> &out) const
-{
-    for (const Scalar *s : _scalars)
-        out[_name + "." + s->name()] = static_cast<double>(s->value());
-    for (const Distribution *d : _dists) {
-        out[_name + "." + d->name() + ".count"] =
-            static_cast<double>(d->count());
-        out[_name + "." + d->name() + ".mean"] = d->mean();
-        out[_name + "." + d->name() + ".sum"] = d->sum();
-        out[_name + "." + d->name() + ".max"] = d->max();
-        out[_name + "." + d->name() + ".p50"] = d->p50();
-        out[_name + "." + d->name() + ".p95"] = d->p95();
-        out[_name + "." + d->name() + ".p99"] = d->p99();
-    }
-}
-
-void
 StatGroup::resetAll()
 {
     for (Scalar *s : _scalars)

@@ -3,8 +3,9 @@
  * Lightweight statistics package (counters and distributions).
  *
  * Components declare stats as members and register them with a StatGroup;
- * System aggregates all groups and can dump them as text or expose them as
- * a flat name->value map for tests and benchmark harnesses.
+ * System::statGroups() lists every group. Stats leave the simulator as
+ * that tree: exp::statGroupsToJson() serializes it, exp::sumStat() reads
+ * one scalar back out, and StatGroup::dump() renders it as text.
  *
  * Hot-path layout (DESIGN.md §3a.2): a Scalar registered with a group
  * does not count in place — its 8-byte counter lives in the group's
@@ -21,7 +22,6 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -228,9 +228,6 @@ class StatGroup
 
     /** Append "<group>.<stat> value # desc" lines to @p os. */
     void dump(std::ostream &os) const;
-
-    /** Merge this group's values into @p out as "<group>.<stat>" keys. */
-    void toMap(std::map<std::string, double> &out) const;
 
     /** Reset every stat in the group. */
     void resetAll();

@@ -47,7 +47,7 @@ state()
 namespace detail
 {
 
-thread_local Recorder *tlRecorder = nullptr;
+constinit thread_local Recorder *tlRecorder = nullptr;
 
 // Dynamic-initialized before main(); probes only run at runtime.
 const bool envAny = state().any;

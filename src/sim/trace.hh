@@ -129,8 +129,12 @@ class Recorder
 
 namespace detail
 {
-/** The current thread's recorder; read inline by every probe. */
-extern thread_local Recorder *tlRecorder;
+/**
+ * The current thread's recorder; read inline by every probe. constinit
+ * lets other TUs read the slot directly instead of through the
+ * compiler's TLS init wrapper.
+ */
+extern constinit thread_local Recorder *tlRecorder;
 /** True when PERSIM_TRACE names at least one flag. */
 extern const bool envAny;
 /** Slow path of enabled(): consult the PERSIM_TRACE flag set. */

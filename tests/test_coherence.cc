@@ -11,11 +11,13 @@
 #include <memory>
 #include <vector>
 
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 
 namespace persim
 {
 
+using exp::sumStat;
 using model::PersistencyModel;
 using model::SimResult;
 using model::System;
@@ -204,11 +206,8 @@ TEST(Coherence, DirtyLineRecalledForRemoteRead)
     cache::CacheLine *llc = sys.bank(home).find(kBase);
     ASSERT_NE(llc, nullptr);
     EXPECT_TRUE(llc->dirty());
-    auto stats = sys.stats();
-    double recalls = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        recalls += stats["llc[" + std::to_string(b) + "].recalls"];
-    EXPECT_GE(recalls, 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"llc[*]", "recalls"}), 1.0);
 }
 
 TEST(Coherence, WriteMissAfterRemoteWrite)
@@ -254,8 +253,8 @@ TEST(Coherence, CapacityEvictionsPreserveInvariants)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     checkDirectoryInvariants(sys, 4);
-    auto stats = sys.stats();
-    EXPECT_GT(stats["l1[0].writebacksDirty"], 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"l1[0]", "writebacksDirty"}), 0.0);
 }
 
 TEST(Coherence, LlcCapacityEvictionsWriteDirtyDataToNvram)
@@ -270,13 +269,9 @@ TEST(Coherence, LlcCapacityEvictionsWriteDirtyDataToNvram)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    double evictions = 0, nvWrites = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        evictions +=
-            stats["llc[" + std::to_string(b) + "].evictionsDirty"];
-    for (unsigned m = 0; m < cfg.numMemControllers; ++m)
-        nvWrites += stats["mc[" + std::to_string(m) + "].nvram.writes"];
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    const double evictions = sumStat(stats, {"llc[*]", "evictionsDirty"});
+    const double nvWrites = sumStat(stats, {"mc[*]", "nvram.writes"});
     EXPECT_GT(evictions, 0.0);
     EXPECT_GE(nvWrites, evictions);
     checkDirectoryInvariants(sys, 4);
@@ -292,8 +287,8 @@ TEST(Coherence, LoadForwardsFromWriteBuffer)
                        }));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    EXPECT_GE(stats["core[0].forwards"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"core[0]", "forwards"}), 1.0);
 }
 
 } // namespace persim

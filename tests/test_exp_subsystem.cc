@@ -233,7 +233,7 @@ TEST(ExpPool, StealingDrainsAnImbalancedLoad)
     pool.run([&](std::size_t job, unsigned) {
         if (job % 2 == 0) {
             // Busy-wait a little to skew the load.
-            volatile int sink = 0;
+            volatile unsigned sink = 0;
             for (int i = 0; i < 100000; ++i)
                 sink = sink + i;
         }

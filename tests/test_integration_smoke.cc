@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim
 {
 
+using exp::sumStat;
 using model::PersistencyModel;
 using model::SimResult;
 using model::System;
@@ -144,8 +146,8 @@ TEST(IntegrationSmoke, BspBulkModeWithLogging)
                                << " timedOut=" << res.timedOut;
     EXPECT_TRUE(res.violations.empty())
         << "first violation: " << res.violations.front();
-    auto stats = sys.stats();
-    EXPECT_GT(stats["persist.arbiter[0].logWrites"], 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"persist.arbiter[0]", "logWrites"}), 0.0);
 }
 
 } // namespace persim

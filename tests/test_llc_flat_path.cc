@@ -16,6 +16,7 @@
 
 #include "cache/cache_array.hh"
 #include "cache/flat_table.hh"
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "persist/persist_controller.hh"
 #include "sim/event_queue.hh"
@@ -24,6 +25,7 @@
 namespace persim
 {
 
+using exp::sumStat;
 using cache::CacheArray;
 using cache::CacheGeometry;
 using cache::CacheLine;
@@ -340,16 +342,16 @@ TEST(FlushProtocol, EmptyFlushEpochStillAcks)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
-    auto stats = sys.stats();
-    double flushMsgs = 0, lasersEmpty = 0;
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    double lasersEmpty = 0;
     for (unsigned b = 0; b < 2; ++b) {
-        const std::string p = "llc[" + std::to_string(b) + "].";
+        const std::string bank = "llc[" + std::to_string(b) + "]";
         // Every FlushEpoch a bank sees is acked exactly once.
-        EXPECT_EQ(stats[p + "flushEpochMsgs"], stats[p + "bankAcksSent"]);
-        flushMsgs += stats[p + "flushEpochMsgs"];
-        lasersEmpty += stats[p + "linesFlushed"] == 0.0 ? 1 : 0;
+        EXPECT_EQ(sumStat(stats, {bank, "flushEpochMsgs"}),
+                  sumStat(stats, {bank, "bankAcksSent"}));
+        lasersEmpty += sumStat(stats, {bank, "linesFlushed"}) == 0.0;
     }
-    EXPECT_GT(flushMsgs, 0.0);
+    EXPECT_GT(sumStat(stats, {"llc[*]", "flushEpochMsgs"}), 0.0);
     // The single dirty line lives in exactly one bank; the other bank's
     // job really was empty.
     EXPECT_GE(lasersEmpty, 1.0);
@@ -390,11 +392,8 @@ TEST(FlushProtocol, InvalidatingFlushSkipsPinnedLines)
     ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
     EXPECT_TRUE(res.violations.empty())
         << "first: " << res.violations.front();
-    auto stats = sys.stats();
-    double skips = 0;
-    for (unsigned b = 0; b < 2; ++b)
-        skips += stats["llc[" + std::to_string(b) + "].flushSkipsPinned"];
-    EXPECT_GT(skips, 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"llc[*]", "flushSkipsPinned"}), 0.0);
 }
 
 TEST(FlushProtocol, RequestsBlockOnInFlightEviction)
@@ -426,15 +425,9 @@ TEST(FlushProtocol, RequestsBlockOnInFlightEviction)
     }
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
-    auto stats = sys.stats();
-    double pinWaits = 0, evictions = 0;
-    for (unsigned b = 0; b < 2; ++b) {
-        const std::string p = "llc[" + std::to_string(b) + "].";
-        pinWaits += stats[p + "pinWaits"];
-        evictions += stats[p + "evictions"];
-    }
-    EXPECT_GT(evictions, 0.0);
-    EXPECT_GT(pinWaits, 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"llc[*]", "evictions"}), 0.0);
+    EXPECT_GT(sumStat(stats, {"llc[*]", "pinWaits"}), 0.0);
 }
 
 } // namespace persim

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/stats_export.hh"
 #include "noc/mesh.hh"
 #include "noc/network_interface.hh"
 #include "sim/event_queue.hh"
@@ -122,9 +123,8 @@ TEST(Mesh, StatsCountPacketsAndFlits)
     mesh.send(0, 1, 72, [] {});
     eq.run();
     EXPECT_EQ(mesh.packetsSent(), 2u);
-    std::map<std::string, double> m;
-    mesh.stats().toMap(m);
-    EXPECT_DOUBLE_EQ(m["mesh.flits"], 6.0); // 1 + 5
+    const exp::JsonValue stats = exp::statGroupsToJson({&mesh.stats()});
+    EXPECT_DOUBLE_EQ(exp::sumStat(stats, {"mesh", "flits"}), 6.0); // 1 + 5
 }
 
 TEST(Mesh, UnattachedNodesPanic)
@@ -149,9 +149,8 @@ TEST(NetworkInterface, SendsStandardSizes)
     b.sendData(0, [&] { ++got; });
     eq.run();
     EXPECT_EQ(got, 2);
-    std::map<std::string, double> m;
-    mesh.stats().toMap(m);
-    EXPECT_DOUBLE_EQ(m["mesh.flits"], 1.0 + 5.0);
+    const exp::JsonValue stats = exp::statGroupsToJson({&mesh.stats()});
+    EXPECT_DOUBLE_EQ(exp::sumStat(stats, {"mesh", "flits"}), 1.0 + 5.0);
 }
 
 } // namespace persim::noc

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "exp/stats_export.hh"
 #include "noc/mesh.hh"
 #include "nvm/memory_controller.hh"
 #include "nvm/nvram.hh"
@@ -141,10 +142,9 @@ TEST(MemoryController, LogWritesCounted)
     req.replyTo = 0;
     ctrl.handleWrite(std::move(req));
     eq.run();
-    std::map<std::string, double> m;
-    ctrl.stats().toMap(m);
-    EXPECT_DOUBLE_EQ(m["mc0.logWrites"], 1.0);
-    EXPECT_DOUBLE_EQ(m["mc0.persistAcks"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson({&ctrl.stats()});
+    EXPECT_DOUBLE_EQ(exp::sumStat(stats, {"mc0", "logWrites"}), 1.0);
+    EXPECT_DOUBLE_EQ(exp::sumStat(stats, {"mc0", "persistAcks"}), 1.0);
 }
 
 TEST(McIndex, LineInterleavesAcrossControllers)

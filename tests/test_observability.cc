@@ -18,6 +18,7 @@
 #include "exp/json.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
+#include "exp/stats_export.hh"
 #include "exp/telemetry.hh"
 #include "exp/trace_export.hh"
 #include "model/system.hh"
@@ -329,10 +330,22 @@ TEST(ObsNaming, StatKeysUseComponentIndexScheme)
         sys.setWorkload(static_cast<CoreId>(t), std::move(workloads[t]));
     sys.run();
 
-    const auto stats = sys.stats();
+    const JsonValue stats = exp::statGroupsToJson(sys.statGroups());
     bool sawArbiter = false;
     bool sawRouter = false;
-    for (const auto &[key, value] : stats) {
+    // Every stat key: each scalar, and each field of each distribution.
+    std::vector<std::string> keys;
+    for (const auto &[group, entry] : stats.members()) {
+        keys.push_back(group + ".");
+        for (const auto &[scalar, value] : entry.get("scalars")->members())
+            keys.push_back(group + "." + scalar);
+        for (const auto &[dist, fields] :
+             entry.get("distributions")->members()) {
+            for (const auto &[field, value] : fields.members())
+                keys.push_back(group + "." + dist + "." + field);
+        }
+    }
+    for (const std::string &key : keys) {
         sawArbiter |= key.rfind("persist.arbiter[0].", 0) == 0;
         sawRouter |= key.find("mesh.router[0].") != std::string::npos;
         // The old un-bracketed scheme must be gone.

@@ -11,12 +11,14 @@
 #include <memory>
 #include <vector>
 
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim
 {
 
+using exp::sumStat;
 using model::PersistencyModel;
 using model::SimResult;
 using model::System;
@@ -75,24 +77,18 @@ TEST(PersistProtocol, SingleEpochFlushHandshake)
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
 
-    auto stats = sys.stats();
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
     // The epoch (and the trailing drain epoch bookkeeping) persisted.
-    EXPECT_GE(stats["persist.arbiter[0].epochsPersisted"], 1.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "epochsPersisted"}), 1.0);
     // Every bank saw the FlushEpoch broadcast of the non-trivial epoch.
-    double flushMsgs = 0, bankAcks = 0, cmps = 0;
-    for (unsigned b = 0; b < cfg.numCores; ++b) {
-        flushMsgs += stats["llc[" + std::to_string(b) + "].flushEpochMsgs"];
-        bankAcks += stats["llc[" + std::to_string(b) + "].bankAcksSent"];
-        cmps += stats["llc[" + std::to_string(b) + "].persistCmpSeen"];
-    }
-    EXPECT_EQ(flushMsgs, cfg.numCores * 1.0);
-    EXPECT_EQ(bankAcks, cfg.numCores * 1.0);
-    EXPECT_EQ(cmps, cfg.numCores * 1.0);
+    EXPECT_EQ(sumStat(stats, {"llc[*]", "flushEpochMsgs"}),
+              cfg.numCores * 1.0);
+    EXPECT_EQ(sumStat(stats, {"llc[*]", "bankAcksSent"}),
+              cfg.numCores * 1.0);
+    EXPECT_EQ(sumStat(stats, {"llc[*]", "persistCmpSeen"}),
+              cfg.numCores * 1.0);
     // All four lines reached NVRAM exactly once.
-    double writes = 0;
-    for (unsigned m = 0; m < cfg.numMemControllers; ++m)
-        writes += stats["mc[" + std::to_string(m) + "].nvram.writes"];
-    EXPECT_EQ(writes, 4.0);
+    EXPECT_EQ(sumStat(stats, {"mc[*]", "nvram.writes"}), 4.0);
 }
 
 TEST(PersistProtocol, IntraThreadConflictFlushesOlderEpoch)
@@ -111,10 +107,10 @@ TEST(PersistProtocol, IntraThreadConflictFlushesOlderEpoch)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    EXPECT_EQ(stats["persist.intraConflicts"], 1.0);
-    EXPECT_EQ(stats["persist.interConflicts"], 0.0);
-    EXPECT_GE(stats["persist.arbiter[0].flushIntra"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_EQ(sumStat(stats, {"persist", "intraConflicts"}), 1.0);
+    EXPECT_EQ(sumStat(stats, {"persist", "interConflicts"}), 0.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "flushIntra"}), 1.0);
 }
 
 TEST(PersistProtocol, ReadsNeverConflictIntraThread)
@@ -130,8 +126,8 @@ TEST(PersistProtocol, ReadsNeverConflictIntraThread)
     sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    EXPECT_EQ(stats["persist.intraConflicts"], 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_EQ(sumStat(stats, {"persist", "intraConflicts"}), 0.0);
 }
 
 TEST(PersistProtocol, InterThreadConflictDetectedAtBank)
@@ -152,10 +148,10 @@ TEST(PersistProtocol, InterThreadConflictDetectedAtBank)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.interConflicts"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist", "interConflicts"}), 1.0);
     // LB (no IDT): resolved online.
-    EXPECT_EQ(stats["persist.idtResolutions"], 0.0);
+    EXPECT_EQ(sumStat(stats, {"persist", "idtResolutions"}), 0.0);
 }
 
 TEST(PersistProtocol, IdtAbsorbsInterThreadConflict)
@@ -177,9 +173,9 @@ TEST(PersistProtocol, IdtAbsorbsInterThreadConflict)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.idtResolutions"], 1.0);
-    EXPECT_GE(stats["persist.arbiter[1].idtDepsRecorded"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist", "idtResolutions"}), 1.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[1]", "idtDepsRecorded"}), 1.0);
 }
 
 TEST(PersistProtocol, WriteWriteSharingStealsIncarnation)
@@ -203,9 +199,9 @@ TEST(PersistProtocol, WriteWriteSharingStealsIncarnation)
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty())
         << "violation: " << res.violations.front();
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.stealsClean"] +
-                  stats["persist.stealsInFlight"],
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist", "stealsClean"}) +
+                  sumStat(stats, {"persist", "stealsInFlight"}),
               1.0);
 }
 
@@ -256,9 +252,9 @@ TEST(PersistProtocol, Figure5AvoidedBySplitting)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.arbiter[0].splits"] +
-                  stats["persist.arbiter[1].splits"],
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "splits"}) +
+                  sumStat(stats, {"persist.arbiter[1]", "splits"}),
               1.0);
 }
 
@@ -278,9 +274,9 @@ TEST(PersistProtocol, EpochWindowBackpressure)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.arbiter[0].barrierStalls"], 1.0);
-    EXPECT_GE(stats["persist.arbiter[0].epochsPersisted"], 12.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "barrierStalls"}), 1.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "epochsPersisted"}), 12.0);
 }
 
 TEST(PersistProtocol, InvalidatingFlushDropsLines)
@@ -298,8 +294,8 @@ TEST(PersistProtocol, InvalidatingFlushDropsLines)
         sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
         SimResult res = sys.run();
         EXPECT_TRUE(res.completed);
-        auto stats = sys.stats();
-        return stats["l1[0].misses"];
+        const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+        return sumStat(stats, {"l1[0]", "misses"});
     };
     const double missesClwb = runWith(false);
     const double missesClflush = runWith(true);
@@ -361,16 +357,10 @@ TEST(PersistProtocol, BspLogsPersistBeforeData)
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty())
         << "violation: " << res.violations.front();
-    auto stats = sys.stats();
-    double logs = 0, ckpts = 0;
-    for (unsigned c = 0; c < 4; ++c) {
-        logs += stats["persist.arbiter[" + std::to_string(c) +
-                      "].logWrites"];
-        ckpts += stats["persist.arbiter[" + std::to_string(c) +
-                       "].checkpointLines"];
-    }
-    EXPECT_GT(logs, 0.0);
-    EXPECT_GT(ckpts, 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"persist.arbiter[*]", "logWrites"}), 0.0);
+    EXPECT_GT(sumStat(stats, {"persist.arbiter[*]", "checkpointLines"}),
+              0.0);
 }
 
 TEST(PersistProtocol, DrainLeavesNoUnpersistedState)
@@ -388,8 +378,8 @@ TEST(PersistProtocol, DrainLeavesNoUnpersistedState)
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
     EXPECT_GT(res.drainTicks, res.execTicks);
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.arbiter[0].flushDrain"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "flushDrain"}), 1.0);
 }
 
 } // namespace persim

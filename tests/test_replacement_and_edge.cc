@@ -10,12 +10,14 @@
 #include <memory>
 #include <vector>
 
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim
 {
 
+using exp::sumStat;
 using model::PersistencyModel;
 using model::SimResult;
 using model::System;
@@ -67,10 +69,10 @@ TEST(ReplacementConflict, TaggedLlcVictimForcesEpochFlush)
     ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
     EXPECT_TRUE(res.violations.empty())
         << "first: " << res.violations.front();
-    auto stats = sys.stats();
-    EXPECT_GT(stats["persist.replacementConflicts"], 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"persist", "replacementConflicts"}), 0.0);
     // Replacement conflicts against the open epoch force splits.
-    EXPECT_GT(stats["persist.arbiter[0].splits"], 0.0);
+    EXPECT_GT(sumStat(stats, {"persist.arbiter[0]", "splits"}), 0.0);
 }
 
 TEST(ReplacementConflict, VictimAvoidanceReducesConflicts)
@@ -93,7 +95,8 @@ TEST(ReplacementConflict, VictimAvoidanceReducesConflicts)
         sys.setWorkload(0, std::make_unique<Script>(ops));
         SimResult res = sys.run();
         EXPECT_TRUE(res.completed);
-        return sys.stats()["persist.replacementConflicts"];
+        return sumStat(exp::statGroupsToJson(sys.statGroups()),
+                       {"persist", "replacementConflicts"});
     };
     EXPECT_LE(conflictsWith(true), conflictsWith(false));
 }
@@ -130,12 +133,8 @@ TEST(IdtOverflow, FallsBackToOnlineFlush)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    double overflows = 0;
-    for (unsigned c = 0; c < 4; ++c)
-        overflows += stats["persist.arbiter[" + std::to_string(c) +
-                           "].idtOverflows"];
-    EXPECT_GT(overflows, 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"persist.arbiter[*]", "idtOverflows"}), 0.0);
 }
 
 TEST(StaleTag, ClwbRetainedLineRewritesCleanly)
@@ -158,12 +157,12 @@ TEST(StaleTag, ClwbRetainedLineRewritesCleanly)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
     // Two intra conflicts at most (store2 vs e0; store3 may hit e1 if
     // its flush had not finished) — and never a panic from the stale
     // tag path.
-    EXPECT_GE(stats["persist.intraConflicts"], 1.0);
-    EXPECT_LE(stats["persist.intraConflicts"], 2.0);
+    EXPECT_GE(sumStat(stats, {"persist", "intraConflicts"}), 1.0);
+    EXPECT_LE(sumStat(stats, {"persist", "intraConflicts"}), 2.0);
 }
 
 TEST(BspEdge, TinyEpochsStressTheWindow)
@@ -183,8 +182,8 @@ TEST(BspEdge, TinyEpochsStressTheWindow)
     ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
     EXPECT_TRUE(res.violations.empty())
         << "first: " << res.violations.front();
-    auto stats = sys.stats();
-    EXPECT_GT(stats["persist.arbiter[0].barrierStalls"], 0.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GT(sumStat(stats, {"persist.arbiter[0]", "barrierStalls"}), 0.0);
 }
 
 TEST(BspEdge, CheckpointLinesScaleWithEpochs)
@@ -199,11 +198,12 @@ TEST(BspEdge, CheckpointLinesScaleWithEpochs)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
     // 64 stores / 16-per-epoch = 4 boundaries (+1 drain tail), each
     // writing 16 checkpoint lines.
-    EXPECT_GE(stats["persist.arbiter[0].checkpointLines"], 4 * 16.0);
-    EXPECT_GE(stats["persist.arbiter[0].logWrites"], 64.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "checkpointLines"}),
+              4 * 16.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "logWrites"}), 64.0);
 }
 
 TEST(SpWriteThrough, EveryStoreReachesNvram)
@@ -218,12 +218,9 @@ TEST(SpWriteThrough, EveryStoreReachesNvram)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    double writes = 0;
-    for (unsigned m = 0; m < cfg.numMemControllers; ++m)
-        writes += stats["mc[" + std::to_string(m) + "].nvram.writes"];
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
     // No coalescing under naive SP: one NVRAM write per store.
-    EXPECT_GE(writes, 20.0);
+    EXPECT_GE(sumStat(stats, {"mc[*]", "nvram.writes"}), 20.0);
 }
 
 TEST(MeshEdge, SingleTileMeshWorks)

@@ -11,12 +11,14 @@
 #include <vector>
 
 #include "model/recovery.hh"
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim
 {
 
+using exp::sumStat;
 using model::PersistencyModel;
 using model::SimResult;
 using model::System;
@@ -161,11 +163,11 @@ TEST(Scenario, IdtPullFlushesAnIdleSource)
     ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
     EXPECT_TRUE(res.violations.empty())
         << "first: " << res.violations.front();
-    auto stats = sys.stats();
-    EXPECT_GE(stats["persist.idtResolutions"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"persist", "idtResolutions"}), 1.0);
     // Core 1's epoch was flushed with an inter-thread attribution even
     // though core 1 itself never conflicted again (the pull).
-    EXPECT_GE(stats["persist.arbiter[1].flushInter"], 1.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[1]", "flushInter"}), 1.0);
 }
 
 TEST(Scenario, LoadForwardingStillOrdersPersists)
@@ -188,8 +190,8 @@ TEST(Scenario, LoadForwardingStillOrdersPersists)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
-    auto stats = sys.stats();
-    EXPECT_GE(stats["core[0].forwards"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_GE(sumStat(stats, {"core[0]", "forwards"}), 1.0);
     model::RecoveryAnalysis ra(sys.checker()->log(), 2);
     EXPECT_GT(ra.firstInconsistency(), ra.logSize());
 }
@@ -206,10 +208,10 @@ TEST(Scenario, BspEpochBoundariesFollowStoreCount)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
     // 40 stores at 8 per epoch: 5 hardware barriers.
-    EXPECT_EQ(stats["core[0].barriers"], 5.0);
-    EXPECT_GE(stats["persist.arbiter[0].epochsPersisted"], 5.0);
+    EXPECT_EQ(sumStat(stats, {"core[0]", "barriers"}), 5.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "epochsPersisted"}), 5.0);
 }
 
 } // namespace persim

@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <sstream>
 
+#include "exp/stats_export.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -120,11 +120,13 @@ TEST(Stats, GroupDumpAndMap)
     hits.inc(3);
     lat.sample(5.0);
 
-    std::map<std::string, double> m;
-    g.toMap(m);
-    EXPECT_DOUBLE_EQ(m["cache.hits"], 3.0);
-    EXPECT_DOUBLE_EQ(m["cache.latency.mean"], 5.0);
-    EXPECT_DOUBLE_EQ(m["cache.latency.count"], 1.0);
+    const exp::JsonValue tree = exp::statGroupsToJson({&g});
+    EXPECT_DOUBLE_EQ(exp::sumStat(tree, {"cache", "hits"}), 3.0);
+    const exp::JsonValue *latency =
+        tree.get("cache")->get("distributions")->get("latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_DOUBLE_EQ(latency->get("mean")->asNumber(), 5.0);
+    EXPECT_DOUBLE_EQ(latency->get("count")->asNumber(), 1.0);
 
     std::ostringstream os;
     g.dump(os);

@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "sim/logging.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim::model
 {
+
+using exp::sumStat;
 
 TEST(SystemConfig, Table1Defaults)
 {
@@ -119,18 +123,27 @@ TEST(System, StatsMapCoversEveryComponent)
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
 
-    auto stats = sys.stats();
-    for (const char *key :
-         {"mesh.packets", "persist.intraConflicts",
-          "persist.arbiter[0].epochsPersisted", "mc[0].persistAcks",
-          "mc[0].nvram.writes", "l1[0].loads", "l1[0].stores",
-          "llc[0].requests", "core[0].ops", "core[0].barriers"}) {
-        EXPECT_TRUE(stats.contains(key)) << "missing stat " << key;
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    for (const exp::StatRef &ref : std::initializer_list<exp::StatRef>{
+             {"mesh", "packets"},
+             {"persist", "intraConflicts"},
+             {"persist.arbiter[0]", "epochsPersisted"},
+             {"mc[0]", "persistAcks"},
+             {"mc[0]", "nvram.writes"},
+             {"l1[0]", "loads"},
+             {"l1[0]", "stores"},
+             {"llc[0]", "requests"},
+             {"core[0]", "ops"},
+             {"core[0]", "barriers"}}) {
+        EXPECT_NO_THROW(sumStat(stats, ref))
+            << "missing stat " << ref.group << "." << ref.scalar;
     }
     // Sanity cross-checks between layers.
-    EXPECT_GT(stats["core[0].stores"], 0.0);
-    EXPECT_GE(stats["l1[0].stores"], stats["core[0].stores"]);
-    EXPECT_GT(stats["mesh.packets"], stats["llc[0].requests"]);
+    EXPECT_GT(sumStat(stats, {"core[0]", "stores"}), 0.0);
+    EXPECT_GE(sumStat(stats, {"l1[0]", "stores"}),
+              sumStat(stats, {"core[0]", "stores"}));
+    EXPECT_GT(sumStat(stats, {"mesh", "packets"}),
+              sumStat(stats, {"llc[0]", "requests"}));
 }
 
 TEST(System, DumpStatsIsParseable)
@@ -149,7 +162,8 @@ TEST(System, DumpStatsIsParseable)
     (void)sys.run();
 
     std::ostringstream os;
-    sys.dumpStats(os);
+    for (const StatGroup *g : sys.statGroups())
+        g->dump(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("l1[0].loads"), std::string::npos);
     // Every non-empty line carries a '#' description separator.

@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "cpu/write_buffer.hh"
+#include "exp/stats_export.hh"
 #include "model/system.hh"
 #include "sim/logging.hh"
 
 namespace persim
 {
 
+using exp::sumStat;
 using model::PersistencyModel;
 using model::SimResult;
 using model::System;
@@ -140,9 +142,9 @@ TEST(WriteBuffer, FullBufferStallsAndResumesInOrder)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    EXPECT_EQ(stats["core[0].stores"], 8.0);
-    EXPECT_GE(stats["core[0].wbStalls"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_EQ(sumStat(stats, {"core[0]", "stores"}), 8.0);
+    EXPECT_GE(sumStat(stats, {"core[0]", "wbStalls"}), 1.0);
 }
 
 TEST(WriteBuffer, SameLineStoresAcrossEpochBoundary)
@@ -163,10 +165,10 @@ TEST(WriteBuffer, SameLineStoresAcrossEpochBoundary)
                        }));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    EXPECT_EQ(stats["core[0].stores"], 2.0);
-    EXPECT_EQ(stats["core[0].barriers"], 1.0);
-    EXPECT_GE(stats["persist.arbiter[0].epochsPersisted"], 1.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_EQ(sumStat(stats, {"core[0]", "stores"}), 2.0);
+    EXPECT_EQ(sumStat(stats, {"core[0]", "barriers"}), 1.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "epochsPersisted"}), 1.0);
 }
 
 TEST(WriteBuffer, DrainsWhileEpochFlushInFlight)
@@ -189,11 +191,11 @@ TEST(WriteBuffer, DrainsWhileEpochFlushInFlight)
     sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
-    auto stats = sys.stats();
-    EXPECT_EQ(stats["core[0].stores"], 8.0);
-    EXPECT_EQ(stats["core[0].barriers"], 2.0);
-    EXPECT_GE(stats["core[0].wbStalls"], 1.0);
-    EXPECT_GE(stats["persist.arbiter[0].epochsPersisted"], 2.0);
+    const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    EXPECT_EQ(sumStat(stats, {"core[0]", "stores"}), 8.0);
+    EXPECT_EQ(sumStat(stats, {"core[0]", "barriers"}), 2.0);
+    EXPECT_GE(sumStat(stats, {"core[0]", "wbStalls"}), 1.0);
+    EXPECT_GE(sumStat(stats, {"persist.arbiter[0]", "epochsPersisted"}), 2.0);
 }
 
 } // namespace persim

@@ -8,23 +8,28 @@
  * Workloads: the Table 2 micros (hash, queue, rbtree, sdg, sps) and the
  * synthetic suite stand-ins (canneal, dedup, freqmine, barnes,
  * cholesky, radix, intruder, ssca2, vacation).
+ *
+ * The flags fill one exp::ExperimentSpec, which builds the machine and
+ * its workloads exactly as a sweep cell does; --json writes the run in
+ * the sweep's per-job schema (JobOutcome::toJson).
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 
-#include "exp/stats_export.hh"
+#include "flags.hh"
 
+#include "exp/runner.hh"
+#include "exp/spec.hh"
+#include "exp/stats_export.hh"
 #include "model/recovery.hh"
-#include "sim/logging.hh"
 #include "model/system.hh"
-#include "workload/synthetic/presets.hh"
-#include "workload/workload_factory.hh"
+#include "sim/logging.hh"
 
 using namespace persim;
 
@@ -47,7 +52,8 @@ usage(const char *argv0)
         "  --epoch-size N    BSP hardware epoch size (default 10000)\n"
         "  --seed N          workload seed (default 1)\n"
         "  --stats           dump the full stat tree\n"
-        "  --json FILE       dump the run (result + stat tree) as JSON\n"
+        "  --json FILE       write the run as JSON in persim_sweep's\n"
+        "                    per-job schema (id, spec, result, groups)\n"
         "  --debug-state     dump live machine state after the run\n"
         "  --check-recovery  record the persist log and verify crash\n"
         "                    recoverability at every point\n"
@@ -55,44 +61,17 @@ usage(const char *argv0)
         argv0);
 }
 
-bool
-isMicro(const std::string &name)
+/** The value in @p kinds whose toString() is @p name. */
+template <typename Kind>
+Kind
+byName(const char *what, const std::string &name,
+       std::initializer_list<Kind> kinds)
 {
-    for (auto k : workload::allMicroKinds()) {
-        if (name == workload::toString(k))
-            return true;
+    for (Kind kind : kinds) {
+        if (name == toString(kind))
+            return kind;
     }
-    return false;
-}
-
-persist::BarrierKind
-parseBarrier(const std::string &s)
-{
-    if (s == "LB")
-        return persist::BarrierKind::LB;
-    if (s == "LB+IDT" || s == "LBIDT")
-        return persist::BarrierKind::LBIDT;
-    if (s == "LB+PF" || s == "LBPF")
-        return persist::BarrierKind::LBPF;
-    if (s == "LB++" || s == "LBPP")
-        return persist::BarrierKind::LBPP;
-    persim::fatal("unknown barrier '", s, "'");
-}
-
-model::PersistencyModel
-parseModel(const std::string &s)
-{
-    if (s == "NP")
-        return model::PersistencyModel::NoPersistency;
-    if (s == "SP")
-        return model::PersistencyModel::Strict;
-    if (s == "EP")
-        return model::PersistencyModel::Epoch;
-    if (s == "BEP")
-        return model::PersistencyModel::BufferedEpoch;
-    if (s == "BSP")
-        return model::PersistencyModel::BufferedStrict;
-    persim::fatal("unknown persistency model '", s, "'");
+    persim::fatal("unknown ", what, " '", name, "'");
 }
 
 } // namespace
@@ -100,14 +79,11 @@ parseModel(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    std::string workloadName = "hash";
+    exp::ExperimentSpec spec;
+    spec.sweep = "cli";
     std::string modelName;
     std::string barrierName = "LB++";
-    std::uint64_t ops = 300;
-    unsigned cores = 32;
-    unsigned epochSize = 10000;
-    std::uint64_t seed = 1;
-    bool dumpStats = false;
+    bool printStats = false;
     std::string jsonFile;
     bool debugState = false;
     bool checkRecovery = false;
@@ -122,23 +98,22 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--workload")
-            workloadName = value("--workload");
+            spec.workload = value("--workload");
         else if (arg == "--model")
             modelName = value("--model");
         else if (arg == "--barrier")
             barrierName = value("--barrier");
         else if (arg == "--ops")
-            ops = std::strtoull(value("--ops").c_str(), nullptr, 10);
+            spec.ops = tools::parseNum("--ops", value("--ops"));
         else if (arg == "--cores")
-            cores = static_cast<unsigned>(
-                std::strtoul(value("--cores").c_str(), nullptr, 10));
+            spec.cores = tools::parseNumU32("--cores", value("--cores"));
         else if (arg == "--epoch-size")
-            epochSize = static_cast<unsigned>(std::strtoul(
-                value("--epoch-size").c_str(), nullptr, 10));
+            spec.epochSize =
+                tools::parseNumU32("--epoch-size", value("--epoch-size"));
         else if (arg == "--seed")
-            seed = std::strtoull(value("--seed").c_str(), nullptr, 10);
+            spec.seed = tools::parseNum("--seed", value("--seed"));
         else if (arg == "--stats")
-            dumpStats = true;
+            printStats = true;
         else if (arg == "--json")
             jsonFile = value("--json");
         else if (arg == "--debug-state")
@@ -156,41 +131,40 @@ main(int argc, char **argv)
     }
 
     try {
-        const bool micro = isMicro(workloadName);
+        using model::PersistencyModel;
+        using persist::BarrierKind;
         if (modelName.empty())
-            modelName = micro ? "BEP" : "BSP";
+            modelName = spec.isMicro() ? "BEP" : "BSP";
+        spec.pm = byName("persistency model", modelName,
+                         {PersistencyModel::NoPersistency,
+                          PersistencyModel::Strict, PersistencyModel::Epoch,
+                          PersistencyModel::BufferedEpoch,
+                          PersistencyModel::BufferedStrict});
+        // ASCII spellings of the '+' names.
+        if (barrierName == "LBIDT")
+            barrierName = "LB+IDT";
+        else if (barrierName == "LBPF")
+            barrierName = "LB+PF";
+        else if (barrierName == "LBPP")
+            barrierName = "LB++";
+        spec.barrier = byName("barrier", barrierName,
+                              {BarrierKind::LB, BarrierKind::LBIDT,
+                               BarrierKind::LBPF, BarrierKind::LBPP});
+        spec.configLabel = barrierName;
 
-        model::SystemConfig cfg =
-            cores == 32 ? model::SystemConfig::paperTable1()
-                        : model::SystemConfig::smallTest(cores);
-        applyPersistencyModel(cfg, parseModel(modelName),
-                              parseBarrier(barrierName), epochSize);
-        cfg.seed = seed;
+        model::SystemConfig cfg = spec.toSystemConfig();
         cfg.keepPersistLog = checkRecovery;
-
         model::System sys(cfg);
-        std::vector<std::unique_ptr<cpu::Workload>> workloads;
-        if (micro) {
-            workload::MicroConfig mc;
-            mc.kind = workload::microKindFromName(workloadName);
-            mc.numThreads = cores;
-            mc.opsPerThread = ops;
-            mc.seed = seed;
-            workloads = workload::makeMicroWorkloads(mc);
-        } else {
-            workloads = workload::makeSyntheticWorkloads(workloadName,
-                                                         cores, ops,
-                                                         seed);
-        }
-        for (unsigned t = 0; t < cores; ++t)
+        auto workloads = spec.buildWorkloads();
+        for (unsigned t = 0; t < spec.cores; ++t)
             sys.setWorkload(static_cast<CoreId>(t),
                             std::move(workloads[t]));
 
         std::printf("%s | %s | %s | %llu ops/thread | seed %llu\n",
-                    workloadName.c_str(), modelName.c_str(),
+                    spec.workload.c_str(), modelName.c_str(),
                     barrierName.c_str(),
-                    static_cast<unsigned long long>(ops),
-                    static_cast<unsigned long long>(seed));
+                    static_cast<unsigned long long>(spec.ops),
+                    static_cast<unsigned long long>(spec.seed));
         std::printf("%s\n", cfg.describe().c_str());
 
         model::SimResult res = sys.run();
@@ -211,7 +185,7 @@ main(int argc, char **argv)
             std::printf("  %s\n", res.violations[i].c_str());
 
         if (checkRecovery && sys.checker()) {
-            model::RecoveryAnalysis ra(sys.checker()->log(), cores);
+            model::RecoveryAnalysis ra(sys.checker()->log(), spec.cores);
             const std::size_t bad = ra.firstInconsistency();
             if (bad > ra.logSize()) {
                 std::printf("recovery: consistent at every crash point "
@@ -224,22 +198,21 @@ main(int argc, char **argv)
         }
         if (debugState)
             sys.debugDump(std::cout);
-        if (dumpStats)
-            sys.dumpStats(std::cout);
+        if (printStats) {
+            for (const StatGroup *g : sys.statGroups())
+                g->dump(std::cout);
+        }
         if (!jsonFile.empty()) {
-            exp::JsonValue doc = exp::JsonValue::object();
-            doc["workload"] = exp::JsonValue(workloadName);
-            doc["model"] = exp::JsonValue(modelName);
-            doc["barrier"] = exp::JsonValue(barrierName);
-            doc["cores"] = exp::JsonValue(cores);
-            doc["ops"] = exp::JsonValue(ops);
-            doc["seed"] = exp::JsonValue(seed);
-            doc["result"] = exp::simResultToJson(res);
-            doc["groups"] = exp::statGroupsToJson(sys.statGroups());
+            exp::JobOutcome outcome;
+            outcome.spec = spec;
+            outcome.ok = true;
+            outcome.attempts = 1;
+            outcome.result = res;
+            outcome.statTree = exp::statGroupsToJson(sys.statGroups());
             std::ofstream os(jsonFile);
             if (!os)
                 persim::fatal("cannot write ", jsonFile);
-            doc.write(os, 2);
+            outcome.toJson(true).write(os, 2);
             os << '\n';
             std::printf("wrote %s\n", jsonFile.c_str());
         }

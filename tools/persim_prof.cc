@@ -28,6 +28,8 @@
 #include <sstream>
 #include <string>
 
+#include "flags.hh"
+
 #include "exp/json.hh"
 #include "prof/profile.hh"
 #include "sim/logging.hh"
@@ -291,7 +293,7 @@ main(int argc, char **argv)
             for (int i = 3; i < argc; ++i) {
                 if (std::strcmp(argv[i], "--jobs") == 0 &&
                     i + 1 < argc)
-                    topJobs = std::strtoul(argv[++i], nullptr, 10);
+                    topJobs = tools::parseNum("--jobs", argv[++i]);
                 else
                     fatal("report: unknown option ", argv[i]);
             }

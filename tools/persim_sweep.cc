@@ -18,18 +18,18 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_set>
+
+#include "flags.hh"
 
 #include "exp/figures.hh"
 #include "exp/journal.hh"
@@ -41,43 +41,11 @@
 #include "workload/trace/trace_reader.hh"
 
 using namespace persim;
+using persim::tools::parseNum;
+using persim::tools::parseNumU32;
 
 namespace
 {
-
-/**
- * Strict decimal parse for flag values: the whole string must be a
- * non-negative integer. atoi-style coercion ("11x" -> 11, "abc" -> 0)
- * silently runs the wrong experiment; a named error is the only
- * acceptable outcome for a malformed value.
- */
-std::uint64_t
-parseNum(const char *flag, const std::string &v)
-{
-    std::uint64_t out = 0;
-    const char *begin = v.c_str();
-    const char *end = begin + v.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, out);
-    if (v.empty() || ec != std::errc() || ptr != end) {
-        std::fprintf(stderr,
-                     "%s wants a non-negative integer, got '%s'\n",
-                     flag, v.c_str());
-        std::exit(2);
-    }
-    return out;
-}
-
-unsigned
-parseNumU32(const char *flag, const std::string &v)
-{
-    const std::uint64_t n = parseNum(flag, v);
-    if (n > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "%s value '%s' is out of range\n", flag,
-                     v.c_str());
-        std::exit(2);
-    }
-    return static_cast<unsigned>(n);
-}
 
 void
 usage(const char *argv0)

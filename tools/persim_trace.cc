@@ -13,11 +13,15 @@
  * canonicalizes it and to-binary of a binary file rewrites it.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+
+#include "flags.hh"
 
 #include "sim/logging.hh"
 #include "workload/trace/trace_reader.hh"
@@ -240,10 +244,20 @@ main(int argc, char **argv)
             std::uint64_t limit = 50;
             for (int i = 3; i < argc; ++i) {
                 const std::string arg = argv[i];
-                if (arg == "--thread" && i + 1 < argc)
-                    onlyThread = std::atoi(argv[++i]);
+                if (arg == "--thread" && i + 1 < argc) {
+                    const char *v = argv[++i];
+                    const std::uint64_t n = tools::parseNum("--thread", v);
+                    if (n > static_cast<std::uint64_t>(
+                                std::numeric_limits<int>::max())) {
+                        std::fprintf(stderr,
+                                     "--thread value '%s' is out of range\n",
+                                     v);
+                        return 2;
+                    }
+                    onlyThread = static_cast<int>(n);
+                }
                 else if (arg == "--limit" && i + 1 < argc)
-                    limit = std::strtoull(argv[++i], nullptr, 10);
+                    limit = tools::parseNum("--limit", argv[++i]);
                 else {
                     std::fprintf(stderr, "unknown dump option '%s'\n",
                                  arg.c_str());
