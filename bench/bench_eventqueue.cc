@@ -2,13 +2,14 @@
  * @file
  * Microbenchmarks for the event-kernel hot path: schedule/run and
  * schedule/cancel churn at 1M events, with small and oversized
- * captures, plus the InlineFunction construct/invoke cost in
- * isolation. These are the operations every simulated cycle pays for;
+ * captures, a steady-state run of self-rescheduling chains, plus the
+ * InlineFunction construct/invoke cost in isolation. These are the operations every simulated cycle pays for;
  * `perfbench/run.py --workload bsp-lb` times them end to end.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -136,6 +137,50 @@ BM_SelfRescheduleChain(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * kEvents));
 }
 BENCHMARK(BM_SelfRescheduleChain)->Unit(benchmark::kMillisecond);
+
+/**
+ * Steady state as the simulator produces it: 32 self-rescheduling
+ * chains (one per simulated core), each re-arming itself 1-360 ticks
+ * ahead (one cycle up to an NVRAM write), so a few dozen events are in
+ * flight at any time. The 1M-events-up-front benchmarks above measure
+ * a queue far deeper than any simulation reaches.
+ */
+void
+BM_SteadyStateChains(benchmark::State &state)
+{
+    constexpr unsigned kChains = 32;
+    struct Chain
+    {
+        EventQueue *eq;
+        std::uint64_t *remaining;
+        std::uint32_t lcg;
+
+        void
+        fire()
+        {
+            if (*remaining == 0)
+                return;
+            --*remaining;
+            lcg = lcg * 1664525u + 1013904223u;
+            const Tick delay = 1 + (lcg >> 8) % 360;
+            eq->scheduleIn(delay, [this] { fire(); });
+        }
+    };
+    for (auto _ : state) {
+        EventQueue eq;
+        std::uint64_t remaining = kEvents;
+        std::array<Chain, kChains> chains;
+        for (unsigned c = 0; c < kChains; ++c) {
+            chains[c] = Chain{&eq, &remaining, c + 1};
+            eq.scheduleIn(1 + c, [ch = &chains[c]] { ch->fire(); });
+        }
+        eq.run();
+        benchmark::DoNotOptimize(remaining);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * kEvents));
+}
+BENCHMARK(BM_SteadyStateChains)->Unit(benchmark::kMillisecond);
 
 /** InlineFunction construct+invoke in isolation (no queue). */
 void

@@ -3,18 +3,18 @@
  * Microbenchmarks for the per-op front end: the write-buffer ring and
  * its line filter against the deque+hash-set shape it replaced, the
  * integer Distribution::sample fast path against the double path, and
- * the group-arena Scalar counters against free-standing (inline)
- * counters. Every simulated memory op crosses these structures before
- * it reaches the cache hierarchy, so their constant factors multiply
- * into every figure cell; `perfbench/run.py --workload bsp-lb` times
+ * the Scalar counter bump. Every simulated memory op crosses these
+ * structures before it reaches the cache hierarchy, so their constant
+ * factors multiply into every figure cell; `perfbench/run.py --workload bsp-lb` times
  * the end-to-end effect on the fig14 LB column.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -124,41 +124,23 @@ BM_DistributionSampleDouble(benchmark::State &state)
 BENCHMARK(BM_DistributionSampleDouble);
 
 /** Round-robin bumps over a component's worth of group-registered
- * counters: the arena packs them into a few host cache lines. */
+ * counters: each Scalar is just its 8-byte counter, so sixteen of them
+ * fill two host cache lines of the component. */
 void
-BM_ScalarArenaBump(benchmark::State &state)
+BM_ScalarBump(benchmark::State &state)
 {
     StatGroup g("bench");
-    std::vector<std::unique_ptr<Scalar>> stats;
-    for (int i = 0; i < 16; ++i)
-        stats.push_back(std::make_unique<Scalar>(
-            &g, "s" + std::to_string(i), "counter"));
+    std::array<Scalar, 16> stats;
+    for (std::size_t i = 0; i < stats.size(); ++i)
+        g.add(&stats[i], "s" + std::to_string(i), "counter");
     unsigned i = 0;
     for (auto _ : state) {
-        ++*stats[i & 15];
+        ++stats[i & 15];
         ++i;
     }
-    benchmark::DoNotOptimize(stats[0]->value());
+    benchmark::DoNotOptimize(stats[0].value());
 }
-BENCHMARK(BM_ScalarArenaBump);
-
-/** The layout the arena replaced: each counter inline in its own
- * string-heavy Scalar object, one cache line (or two) apart. */
-void
-BM_ScalarFreeStandingBump(benchmark::State &state)
-{
-    std::vector<std::unique_ptr<Scalar>> stats;
-    for (int i = 0; i < 16; ++i)
-        stats.push_back(std::make_unique<Scalar>(
-            nullptr, "s" + std::to_string(i), "counter"));
-    unsigned i = 0;
-    for (auto _ : state) {
-        ++*stats[i & 15];
-        ++i;
-    }
-    benchmark::DoNotOptimize(stats[0]->value());
-}
-BENCHMARK(BM_ScalarFreeStandingBump);
+BENCHMARK(BM_ScalarBump);
 
 } // namespace
 

@@ -33,8 +33,8 @@ statGroupsToJson(const std::vector<const StatGroup *> &groups)
         JsonValue &entry = out[g->name()];
         entry = JsonValue::object();
         JsonValue scalars = JsonValue::object();
-        for (const Scalar *s : g->scalars())
-            scalars[s->name()] = JsonValue(s->value());
+        for (const StatGroup::ScalarEntry &s : g->scalars())
+            scalars[s.name] = JsonValue(s.stat->value());
         JsonValue dists = JsonValue::object();
         for (const Distribution *d : g->distributions())
             dists[d->name()] = distributionToJson(*d);

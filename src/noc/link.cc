@@ -3,14 +3,14 @@
 namespace persim::noc
 {
 
-Link::Link(std::string name, StatGroup *group)
-    : _name(std::move(name)),
-      _packets(group, _name + ".packets", "packets crossing this link"),
-      _busyCycles(group, _name + ".busyCycles",
-                  "flit-cycles of link occupancy"),
-      _waitCycles(group, _name + ".waitCycles",
-                  "cycles packets waited on this link")
+void
+Link::registerStats(StatGroup &group, const std::string &name)
 {
+    group.add(&_packets, name + ".packets", "packets crossing this link");
+    group.add(&_busyCycles, name + ".busyCycles",
+              "flit-cycles of link occupancy");
+    group.add(&_waitCycles, name + ".waitCycles",
+              "cycles packets waited on this link");
 }
 
 } // namespace persim::noc

@@ -22,15 +22,20 @@ namespace persim::noc
  * link on its path is reserved for the packet's flit count starting at the
  * earliest cycle the link is free. This models wormhole serialization and
  * head-of-line contention without per-flit events.
+ *
+ * A link is 32 bytes — its free cycle and three counters — aligned so
+ * that one reservation touches a single host cache line.
  */
-class Link
+class alignas(32) Link
 {
   public:
     /**
-     * @param name Instance name for stats, e.g. "mesh.router[3].east".
-     * @param group Stat group to register utilization counters with.
+     * Register the link's counters with @p group as "<name>.packets",
+     * "<name>.busyCycles" and "<name>.waitCycles", in that order.
+     *
+     * @param name Instance name, e.g. "mesh.router[3].east".
      */
-    Link(std::string name, StatGroup *group);
+    void registerStats(StatGroup &group, const std::string &name);
 
     /**
      * Reserve the link for @p flits flit-cycles.
@@ -53,25 +58,17 @@ class Link
         return start;
     }
 
-    /** First cycle at which the link is free. */
-    Tick nextFree() const { return _nextFree; }
-
-    const std::string &name() const { return _name; }
-
-    /** Total packets that crossed this link. */
-    std::uint64_t packets() const { return _packets.value(); }
     /** Total flit-cycles of occupancy. */
     std::uint64_t busyCycles() const { return _busyCycles.value(); }
-    /** Total cycles packets waited for this link to free up. */
-    std::uint64_t waitCycles() const { return _waitCycles.value(); }
 
   private:
-    std::string _name;
     Tick _nextFree = 0;
     Scalar _packets;
     Scalar _busyCycles;
     Scalar _waitCycles;
 };
+
+static_assert(sizeof(Link) == 32);
 
 } // namespace persim::noc
 

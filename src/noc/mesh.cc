@@ -18,14 +18,16 @@ Mesh::Mesh(const std::string &name, EventQueue &eq, const MeshConfig &cfg)
 {
     simAssert(cfg.rows > 0 && cfg.cols > 0, "empty mesh");
     simAssert(cfg.flitBytes > 0, "zero flit width");
-    _routers.reserve(cfg.rows * cfg.cols);
-    for (unsigned y = 0; y < cfg.rows; ++y) {
-        for (unsigned x = 0; x < cfg.cols; ++x) {
-            _routers.push_back(std::make_unique<Router>(
-                name + ".router[" + std::to_string(y * cfg.cols + x) +
-                    "]",
-                &_stats, x, y));
-        }
+    static const char *const dirNames[kNumDirections] = {
+        "east", "west", "north", "south", "eject"};
+    const unsigned numRouters = cfg.rows * cfg.cols;
+    _links = std::make_unique<Link[]>(numRouters * kNumDirections);
+    for (unsigned r = 0; r < numRouters; ++r) {
+        const std::string router =
+            name + ".router[" + std::to_string(r) + "].";
+        for (unsigned d = 0; d < kNumDirections; ++d)
+            _links[r * kNumDirections + d].registerStats(
+                _stats, router + dirNames[d]);
     }
 }
 
@@ -39,49 +41,14 @@ Mesh::attach(unsigned nodeId, unsigned x, unsigned y)
     simAssert(!_nodes[nodeId].attached, "node ", nodeId,
               " attached twice");
     _nodes[nodeId] = NodeLoc{true, x, y};
-    // Cached routes index by the node-table size; drop them whenever
-    // the topology changes.
-    _routes.clear();
-}
-
-Mesh::Route &
-Mesh::routeFor(unsigned src, unsigned dst)
-{
-    const std::size_t n = _nodes.size();
-    if (_routes.size() != n * n)
-        _routes.assign(n * n, Route{});
-    Route &route = _routes[src * n + dst];
-    if (route.eject)
-        return route;
-
-    // X then Y dimension-order walk, recording links in the exact
-    // order send() historically reserved them.
-    const NodeLoc &s = _nodes[src];
-    const NodeLoc &d = _nodes[dst];
-    unsigned x = s.x;
-    unsigned y = s.y;
-    while (x != d.x) {
-        Direction dir = (d.x > x) ? Direction::East : Direction::West;
-        route.hops.push_back(&routerAt(x, y).out(dir));
-        x = (d.x > x) ? x + 1 : x - 1;
-    }
-    while (y != d.y) {
-        Direction dir = (d.y > y) ? Direction::South : Direction::North;
-        route.hops.push_back(&routerAt(x, y).out(dir));
-        y = (d.y > y) ? y + 1 : y - 1;
-    }
-    route.eject = &routerAt(x, y).out(Direction::Eject);
-    return route;
 }
 
 std::uint64_t
 Mesh::totalLinkBusyCycles() const
 {
     std::uint64_t total = 0;
-    for (const auto &router : _routers) {
-        for (unsigned d = 0; d < kNumDirections; ++d)
-            total += router->out(static_cast<Direction>(d)).busyCycles();
-    }
+    for (unsigned i = 0; i < numLinks(); ++i)
+        total += _links[i].busyCycles();
     return total;
 }
 
@@ -110,7 +77,7 @@ Mesh::idleLatency(unsigned src, unsigned dst, unsigned bytes) const
 
 Tick
 Mesh::send(unsigned src, unsigned dst, unsigned bytes,
-           EventQueue::Callback onDeliver)
+           EventQueue::Callback &&onDeliver)
 {
     prof::ScopedPhase profPhase(prof::Phase::Noc);
     simAssert(src < _nodes.size() && _nodes[src].attached,
@@ -124,16 +91,38 @@ Mesh::send(unsigned src, unsigned dst, unsigned bytes,
     _packets.inc();
     _flits.inc(flits);
 
-    const Route &route = routeFor(src, dst);
+    const NodeLoc &s = _nodes[src];
+    const NodeLoc &d = _nodes[dst];
     const Tick hopLatency = _cfg.linkLatency + _cfg.routerLatency;
 
     // Head-flit cursor: time the head is ready at the next router.
     Tick cursor = curTick() + _cfg.routerLatency; // injection pipeline
-    for (Link *link : route.hops)
-        cursor = link->reserve(cursor, flits) + hopLatency;
+
+    // X then Y dimension-order walk over the flat link array: a step
+    // to the next router is a fixed stride through it.
+    Link *router = &_links[(s.y * _cfg.cols + s.x) * kNumDirections];
+    const bool east = d.x > s.x;
+    const unsigned xDir = static_cast<unsigned>(east ? Direction::East
+                                                     : Direction::West);
+    const std::ptrdiff_t xStep =
+        east ? kNumDirections : -std::ptrdiff_t{kNumDirections};
+    for (unsigned n = east ? d.x - s.x : s.x - d.x; n > 0; --n) {
+        cursor = router[xDir].reserve(cursor, flits) + hopLatency;
+        router += xStep;
+    }
+    const bool south = d.y > s.y;
+    const unsigned yDir = static_cast<unsigned>(south ? Direction::South
+                                                      : Direction::North);
+    const std::ptrdiff_t yStep =
+        std::ptrdiff_t{_cfg.cols * kNumDirections} * (south ? 1 : -1);
+    for (unsigned n = south ? d.y - s.y : s.y - d.y; n > 0; --n) {
+        cursor = router[yDir].reserve(cursor, flits) + hopLatency;
+        router += yStep;
+    }
 
     // Ejection: local port serializes the whole packet.
-    Tick start = route.eject->reserve(cursor, flits);
+    Tick start = router[static_cast<unsigned>(Direction::Eject)].reserve(
+        cursor, flits);
     Tick arrival = start + _cfg.linkLatency + (flits - 1);
 
     _latency.sample(arrival - curTick());

@@ -10,13 +10,25 @@
 #include <string>
 #include <vector>
 
-#include "noc/router.hh"
+#include "noc/link.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace persim::noc
 {
+
+/** Output directions of a mesh router. */
+enum class Direction : unsigned
+{
+    East = 0,
+    West = 1,
+    North = 2,
+    South = 3,
+    Eject = 4,
+};
+
+constexpr unsigned kNumDirections = 5;
 
 /** Timing and shape parameters of the mesh (Table 1 defaults). */
 struct MeshConfig
@@ -41,6 +53,11 @@ struct MeshConfig
  * packet's flit count at the earliest free cycle, and a single delivery
  * event fires when the tail flit ejects. This preserves wormhole
  * serialization and head-of-line contention without per-flit events.
+ *
+ * Every router's output links (east/west/north/south/eject) sit in one
+ * contiguous array indexed router * kNumDirections + direction; the
+ * input side of a router is its neighbour's output link, so each
+ * physical channel is represented exactly once.
  */
 class Mesh : public SimObject
 {
@@ -63,7 +80,7 @@ class Mesh : public SimObject
      * @return The tick at which the packet is delivered.
      */
     Tick send(unsigned src, unsigned dst, unsigned bytes,
-              EventQueue::Callback onDeliver);
+              EventQueue::Callback &&onDeliver);
 
     /**
      * Latency a @p bytes packet would see on an idle mesh between the
@@ -90,35 +107,12 @@ class Mesh : public SimObject
     }
 
   private:
-    Router &routerAt(unsigned x, unsigned y)
-    {
-        return *_routers[y * _cfg.cols + x];
-    }
-    const Router &routerAt(unsigned x, unsigned y) const
-    {
-        return *_routers[y * _cfg.cols + x];
-    }
-
     struct NodeLoc
     {
         bool attached = false;
         unsigned x = 0;
         unsigned y = 0;
     };
-
-    /**
-     * Pre-resolved XY path between two nodes, in reservation order.
-     * XY routing is static, so the per-send router walk is paid once
-     * per (src, dst) pair and every later send just iterates links.
-     */
-    struct Route
-    {
-        std::vector<Link *> hops;
-        Link *eject = nullptr; // non-null marks the entry as built
-    };
-
-    /** The cached route src -> dst, building it on first use. */
-    Route &routeFor(unsigned src, unsigned dst);
 
     unsigned flitsFor(unsigned bytes) const
     {
@@ -127,10 +121,9 @@ class Mesh : public SimObject
 
     MeshConfig _cfg;
     StatGroup _stats;
-    std::vector<std::unique_ptr<Router>> _routers;
+    /** Output links, router * kNumDirections + direction. */
+    std::unique_ptr<Link[]> _links;
     std::vector<NodeLoc> _nodes;
-    /** Lazily built (src, dst) route cache; attach() invalidates. */
-    std::vector<Route> _routes;
 
     Scalar _packets;
     Scalar _flits;

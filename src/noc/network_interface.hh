@@ -44,14 +44,14 @@ class NetworkInterface
 
     /** Send a one-flit control message; @p cb runs at the destination. */
     Tick
-    sendControl(unsigned dst, EventQueue::Callback cb)
+    sendControl(unsigned dst, EventQueue::Callback &&cb)
     {
         return _mesh.send(_nodeId, dst, kControlBytes, std::move(cb));
     }
 
     /** Send a line-carrying data message; @p cb runs at the destination. */
     Tick
-    sendData(unsigned dst, EventQueue::Callback cb)
+    sendData(unsigned dst, EventQueue::Callback &&cb)
     {
         return _mesh.send(_nodeId, dst, kDataBytes, std::move(cb));
     }

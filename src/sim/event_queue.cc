@@ -14,27 +14,28 @@ EventQueue::allocNode()
 {
     if (_freeHead != kNoIndex) {
         const std::uint32_t slot = _freeHead;
-        _freeHead = _pool[slot].nextFree;
-        _pool[slot].nextFree = kNoIndex;
+        _freeHead = node(slot).next;
         return slot;
     }
-    simAssert(_pool.size() < kNoIndex, "event pool exhausted");
-    _pool.emplace_back();
-    return static_cast<std::uint32_t>(_pool.size() - 1);
+    simAssert(_numNodes < kNoIndex, "event pool exhausted");
+    if (_numNodes == _chunks.size() * kPoolChunk)
+        _chunks.push_back(std::make_unique<Node[]>(kPoolChunk));
+    return _numNodes++;
 }
 
 void
 EventQueue::releaseNode(std::uint32_t slot)
 {
-    Node &n = _pool[slot];
+    Node &n = node(slot);
     n.cb = Callback();
     // Invalidate every outstanding handle to this incarnation; skip a
     // generation on wrap so ids never read as (gen 0, slot 0) == 0.
-    if (++n.gen == 0)
+    // A fired node was already retired by dispatchNext().
+    if (n.inUse && ++n.gen == 0)
         n.gen = 1;
     n.inUse = false;
     n.cancelled = false;
-    n.nextFree = _freeHead;
+    n.next = _freeHead;
     _freeHead = slot;
 }
 
@@ -42,21 +43,41 @@ void
 EventQueue::pushWheel(Tick when, std::uint32_t slot)
 {
     const std::size_t pos = static_cast<std::size_t>(when) & kWheelMask;
-    std::vector<std::uint32_t> &vec = _slots[pos];
-    if (vec.empty())
+    Slot &s = _slots[pos];
+    node(slot).next = kNoIndex;
+    if (s.head == kNoIndex) {
+        s.head = slot;
         setOccupied(pos);
-    vec.push_back(slot);
+    } else {
+        node(s.tail).next = slot;
+    }
+    s.tail = slot;
     ++_wheelCount;
 }
 
+std::uint32_t
+EventQueue::popCursorSlot()
+{
+    const std::size_t pos = static_cast<std::size_t>(_cursor) & kWheelMask;
+    Slot &s = _slots[pos];
+    const std::uint32_t slot = s.head;
+    s.head = node(slot).next;
+    if (s.head == kNoIndex) {
+        s.tail = kNoIndex;
+        clearOccupied(pos);
+    }
+    --_wheelCount;
+    return slot;
+}
+
 EventQueue::EventId
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::schedule(Tick when, Callback &&cb)
 {
     simAssert(when >= _now, "event scheduled in the past: when=", when,
               " now=", _now);
     simAssert(static_cast<bool>(cb), "null event callback");
     const std::uint32_t slot = allocNode();
-    Node &n = _pool[slot];
+    Node &n = node(slot);
     n.cb = std::move(cb);
     n.inUse = true;
     // _cursor == _now whenever user code runs, so when >= _cursor and
@@ -72,7 +93,7 @@ EventQueue::schedule(Tick when, Callback cb)
 }
 
 EventQueue::EventId
-EventQueue::scheduleIn(Tick delay, Callback cb)
+EventQueue::scheduleIn(Tick delay, Callback &&cb)
 {
     simAssert(delay <= kTickNever - _now,
               "scheduleIn overflow: now=", _now, " delay=", delay,
@@ -85,9 +106,9 @@ EventQueue::cancel(EventId id)
 {
     const std::uint32_t slot = static_cast<std::uint32_t>(id);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= _pool.size())
+    if (slot >= _numNodes)
         return; // never issued
-    Node &n = _pool[slot];
+    Node &n = node(slot);
     if (!n.inUse || n.gen != gen || n.cancelled)
         return; // already fired, cancelled, or recycled: no-op
     n.cancelled = true;
@@ -183,23 +204,19 @@ EventQueue::nextOccupiedTick() const
 bool
 EventQueue::findNextLive(Tick limit)
 {
-    drainOverflow();
+    // No drain on entry: every cursor move below drains, and schedule()
+    // only sends an event to the heap when it lies beyond the window.
     while (true) {
         const std::size_t pos =
             static_cast<std::size_t>(_cursor) & kWheelMask;
-        std::vector<std::uint32_t> &vec = _slots[pos];
-        while (_slotIdx < vec.size()) {
-            const std::uint32_t slot = vec[_slotIdx];
-            if (!_pool[slot].cancelled)
+        while (_slots[pos].head != kNoIndex) {
+            const std::uint32_t slot = _slots[pos].head;
+            if (!node(slot).cancelled)
                 return true;
+            popCursorSlot();
             releaseNode(slot);
             --_numCancelled;
-            --_wheelCount;
-            ++_slotIdx;
         }
-        vec.clear();
-        _slotIdx = 0;
-        clearOccupied(pos);
         if (_wheelCount > 0) {
             const Tick next = nextOccupiedTick();
             if (next > limit)
@@ -217,46 +234,41 @@ EventQueue::findNextLive(Tick limit)
     // at the limit runUntil() will advance now() to, or back at now()
     // for an unbounded search over a drained queue.
     _cursor = limit == kTickNever ? _now : limit;
-    _slotIdx = 0;
     drainOverflow();
     return false;
 }
 
-void
-EventQueue::consumeTop(Callback &cb)
-{
-    const std::size_t pos = static_cast<std::size_t>(_cursor) & kWheelMask;
-    const std::uint32_t slot = _slots[pos][_slotIdx++];
-    --_wheelCount;
-    cb = std::move(_pool[slot].cb);
-    // Release before invoking: a cancel of this (fired) handle must be
-    // a no-op, and the callback may itself schedule into the freed slot.
-    releaseNode(slot);
-    --_numLive;
-}
-
 bool
-EventQueue::popLive(Tick &when, Callback &cb)
+EventQueue::dispatchNext(Tick limit)
 {
-    if (!findNextLive(kTickNever))
+    if (!findNextLive(limit))
         return false;
-    consumeTop(cb);
-    when = _cursor;
+    simAssert(_cursor >= _now, "time went backwards");
+    const std::uint32_t slot = popCursorSlot();
+    Node &n = node(slot);
+    // Retire the handle before invoking, so a cancel of this (fired)
+    // event is a no-op; the node itself is recycled only after the
+    // callback returns (or throws), so the callback runs in place.
+    if (++n.gen == 0)
+        n.gen = 1;
+    n.inUse = false;
+    --_numLive;
+    _now = _cursor;
+    ++_executed;
+    struct Recycle
+    {
+        EventQueue &q;
+        std::uint32_t slot;
+        ~Recycle() { q.releaseNode(slot); }
+    } recycle{*this, slot};
+    n.cb();
     return true;
 }
 
 bool
 EventQueue::runNext()
 {
-    Tick when;
-    Callback cb;
-    if (!popLive(when, cb))
-        return false;
-    simAssert(when >= _now, "time went backwards");
-    _now = when;
-    ++_executed;
-    cb();
-    return true;
+    return dispatchNext(kTickNever);
 }
 
 std::uint64_t
@@ -272,14 +284,8 @@ std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t count = 0;
-    while (findNextLive(limit)) {
-        Callback cb;
-        consumeTop(cb);
-        _now = _cursor;
-        ++_executed;
+    while (dispatchNext(limit))
         ++count;
-        cb();
-    }
     if (_now < limit)
         _now = limit;
     return count;

@@ -12,7 +12,9 @@
 #define PERSIM_SIM_EVENT_QUEUE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_callback.hh"
@@ -26,22 +28,25 @@ namespace persim
  *
  * Events within the wheel horizon (kWheelSlots ticks — which covers
  * nearly every event the simulator schedules, since component delays
- * are at most a few hundred cycles) go to a per-tick FIFO slot:
- * schedule and pop are O(1) appends/scans with no sifting at all.
- * Events beyond the horizon go to a small 4-ary min-heap of POD
- * entries (tick, sequence, pool slot) and drain into the wheel as the
- * cursor advances. Ordering is exactly (tick, schedule order): wheel
- * slots are FIFO and the overflow drains into a slot strictly before
- * any same-tick direct insert can reach it (drains happen on every
- * cursor advance, and a direct insert requires the tick to be inside
- * the window, which implies earlier overflow entries for that tick
- * have already drained).
+ * are at most a few hundred cycles) go to a per-tick FIFO slot: an
+ * intrusive singly linked list threaded through the nodes' `next`
+ * index, so schedule and pop are O(1) link updates with no sifting
+ * and no per-slot storage. Events beyond the horizon go to a small
+ * 4-ary min-heap of POD entries (tick, sequence, pool slot) and drain
+ * into the wheel as the cursor advances. Ordering is exactly (tick,
+ * schedule order): wheel slots are FIFO and the overflow drains into
+ * a slot strictly before any same-tick direct insert can reach it
+ * (drains happen on every cursor advance, and a direct insert
+ * requires the tick to be inside the window, which implies earlier
+ * overflow entries for that tick have already drained).
  *
  * Callbacks live in a free-list pool of nodes recycled for the
- * lifetime of the queue. Cancellation flips a bit in the node — O(1),
- * no hashing, no unbounded side table — and each node carries a
- * generation counter so stale handles (fired, cancelled, or recycled
- * events) are rejected without any bookkeeping growth.
+ * lifetime of the queue. The pool grows in fixed-size chunks, so a
+ * node never moves and each callback runs in place. Cancellation
+ * flips a bit in the node — O(1), no hashing, no unbounded side
+ * table — and each node carries a generation counter so stale
+ * handles (fired, cancelled, or recycled events) are rejected without
+ * any bookkeeping growth.
  */
 class EventQueue
 {
@@ -70,7 +75,7 @@ class EventQueue
      * @param cb Callback executed when the event fires.
      * @return A handle usable with cancel().
      */
-    EventId schedule(Tick when, Callback cb);
+    EventId schedule(Tick when, Callback &&cb);
 
     /**
      * Schedule @p cb to run @p delay ticks from now.
@@ -79,7 +84,7 @@ class EventQueue
      * would otherwise surface as a confusing "scheduled in the past"
      * panic (or, worse, a silently early event).
      */
-    EventId scheduleIn(Tick delay, Callback cb);
+    EventId scheduleIn(Tick delay, Callback &&cb);
 
     /**
      * Cancel a previously scheduled event.
@@ -130,13 +135,17 @@ class EventQueue
     std::size_t pendingCancellations() const { return _numCancelled; }
 
     /** Total nodes ever created (pool high-water mark). */
-    std::size_t poolAllocated() const { return _pool.size(); }
+    std::size_t poolAllocated() const { return _numNodes; }
 
     /** Nodes currently parked on the free list. */
     std::size_t poolFree() const
     {
-        return _pool.size() - _numLive - _numCancelled;
+        return _numNodes - _numLive - _numCancelled;
     }
+
+    /** Nodes per pool chunk; chunks are never moved or freed, so a
+     * node's address is stable for the queue's lifetime. */
+    static constexpr std::size_t kPoolChunk = 1024;
 
   private:
     static constexpr std::uint32_t kNoIndex = UINT32_MAX;
@@ -146,14 +155,24 @@ class EventQueue
     static constexpr std::size_t kWheelSlots = 4096;
     static constexpr std::size_t kWheelMask = kWheelSlots - 1;
     static constexpr std::size_t kWheelWords = kWheelSlots / 64;
+    static constexpr unsigned kChunkShift = std::countr_zero(kPoolChunk);
+    static_assert(std::has_single_bit(kPoolChunk));
 
     struct Node
     {
         Callback cb;
-        std::uint32_t gen = 1;       // bumped on every release
-        std::uint32_t nextFree = kNoIndex;
-        bool inUse = false;
+        std::uint32_t gen = 1; // bumped when the event fires or is freed
+        /** Next node of the same wheel slot, or of the free list. */
+        std::uint32_t next = kNoIndex;
+        bool inUse = false; // scheduled, and not yet fired or freed
         bool cancelled = false;
+    };
+
+    /** Head and tail of one wheel slot's FIFO (kNoIndex when empty). */
+    struct Slot
+    {
+        std::uint32_t head = kNoIndex;
+        std::uint32_t tail = kNoIndex;
     };
 
     /** POD heap entry; seq is the monotonic FIFO tie-breaker. */
@@ -171,14 +190,24 @@ class EventQueue
         return a.when < b.when || (a.when == b.when && a.seq < b.seq);
     }
 
+    Node &
+    node(std::uint32_t slot)
+    {
+        return _chunks[slot >> kChunkShift][slot & (kPoolChunk - 1)];
+    }
+
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
 
     std::uint32_t allocNode();
+    /** Return a node to the free list, dropping its callback. */
     void releaseNode(std::uint32_t slot);
 
     /** Append @p slot to the wheel slot for tick @p when (in-window). */
     void pushWheel(Tick when, std::uint32_t slot);
+
+    /** Unlink the head node of the cursor's wheel slot. */
+    std::uint32_t popCursorSlot();
 
     /** Move overflow entries that entered the window onto the wheel. */
     void drainOverflow();
@@ -189,18 +218,15 @@ class EventQueue
 
     /**
      * Advance the cursor (never past @p limit), skimming cancelled
-     * entries, until it rests on the next live entry. Returns false if
-     * none exists at tick <= limit; the cursor is then left at @p
-     * limit (or back at now() for an unbounded search) so later
-     * schedules stay ahead of it.
+     * entries, until its slot's head is live. Returns false if none
+     * exists at tick <= limit; the cursor is then left at @p limit
+     * (or back at now() for an unbounded search) so later schedules
+     * stay ahead of it.
      */
     bool findNextLive(Tick limit);
 
-    /** Consume the live entry findNextLive() parked the cursor on. */
-    void consumeTop(Callback &cb);
-
-    /** Pop the next live event into @p cb. False if drained. */
-    bool popLive(Tick &when, Callback &cb);
+    /** Run the next live event at tick <= @p limit; false if none. */
+    bool dispatchNext(Tick limit);
 
     void
     setOccupied(std::size_t pos)
@@ -214,20 +240,19 @@ class EventQueue
         _occupied[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
     }
 
-    /** Per-tick FIFO slots; entry = pool slot index. A slot holds
-     * entries for exactly one tick of the window [cursor, cursor+W). */
-    std::vector<std::vector<std::uint32_t>> _slots{kWheelSlots};
+    /** Per-tick FIFO slots. A slot holds entries for exactly one tick
+     * of the window [cursor, cursor+W). */
+    std::array<Slot, kWheelSlots> _slots{};
     std::array<std::uint64_t, kWheelWords> _occupied{};
     /** Tick the wheel cursor rests on; == now() whenever user code can
      * run (callbacks or between run calls). */
     Tick _cursor = 0;
-    /** Scan position inside the cursor's slot. */
-    std::size_t _slotIdx = 0;
     /** Entries resident in wheel slots (live + not-yet-skimmed). */
     std::size_t _wheelCount = 0;
 
     std::vector<HeapEntry> _heap; // overflow: when - cursor >= kWheelSlots
-    std::vector<Node> _pool;
+    std::vector<std::unique_ptr<Node[]>> _chunks;
+    std::uint32_t _numNodes = 0;
     std::uint32_t _freeHead = kNoIndex;
     std::uint64_t _nextSeq = 1;
     std::size_t _numLive = 0;

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -114,6 +115,9 @@ class InlineFunction;
  *
  * Closures that fit kInlineBytes (and are nothrow-move-constructible)
  * live inside the object; larger ones live in a CallbackArena block.
+ * An inline closure that is trivially copyable and trivially
+ * destructible (copyOnly) gets no manager at all, so moving the
+ * InlineFunction copies its storage and destroying it calls nothing.
  * Use inlineOnly() at hot call sites to turn an accidental capture
  * growth into a compile error instead of a silent allocation.
  */
@@ -131,6 +135,16 @@ class InlineFunction<R(Args...)>
         alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
+    /**
+     * True when an inline @p F needs no manager: moving it is a copy of
+     * the storage bytes and destroying it is a no-op. Hot captures
+     * such as [this, addr] take this path.
+     */
+    template <typename F>
+    static constexpr bool copyOnly =
+        std::is_trivially_copyable_v<std::decay_t<F>> &&
+        std::is_trivially_destructible_v<std::decay_t<F>>;
+
     InlineFunction() noexcept = default;
     InlineFunction(std::nullptr_t) noexcept {}
 
@@ -142,10 +156,15 @@ class InlineFunction<R(Args...)>
     {
         using Fn = std::decay_t<F>;
         if constexpr (fitsInline<Fn>) {
+            // A copy-only closure is relocated by copying the whole
+            // buffer, so give its unused tail defined bytes.
+            if constexpr (copyOnly<Fn>)
+                std::memset(_store.buf, 0, kInlineBytes);
             ::new (static_cast<void *>(_store.buf))
                 Fn(std::forward<F>(f));
             _invoke = &invokeInline<Fn>;
-            _manage = &manageInline<Fn>;
+            if constexpr (!copyOnly<Fn>)
+                _manage = &manageInline<Fn>;
         } else {
             void *p = detail::CallbackArena::allocate(sizeof(Fn));
             try {
@@ -174,10 +193,7 @@ class InlineFunction<R(Args...)>
     InlineFunction(InlineFunction &&other) noexcept
         : _invoke(other._invoke), _manage(other._manage)
     {
-        if (_manage)
-            _manage(&_store, &other._store);
-        other._invoke = nullptr;
-        other._manage = nullptr;
+        relocateFrom(other);
     }
 
     InlineFunction &
@@ -187,10 +203,7 @@ class InlineFunction<R(Args...)>
             reset();
             _invoke = other._invoke;
             _manage = other._manage;
-            if (_manage)
-                _manage(&_store, &other._store);
-            other._invoke = nullptr;
-            other._manage = nullptr;
+            relocateFrom(other);
         }
         return *this;
     }
@@ -220,9 +233,23 @@ class InlineFunction<R(Args...)>
     {
         if (_manage) {
             _manage(nullptr, &_store);
-            _invoke = nullptr;
             _manage = nullptr;
         }
+        _invoke = nullptr;
+    }
+
+    /** Take over @p other's closure (_invoke/_manage already copied). */
+    void
+    relocateFrom(InlineFunction &other) noexcept
+    {
+        if (_manage)
+            _manage(&_store, &other._store);
+        else if (_invoke)
+            // Copy-only closure: memcpy implicitly creates the
+            // trivially copyable closure object in our storage.
+            std::memcpy(&_store, &other._store, sizeof(Storage));
+        other._invoke = nullptr;
+        other._manage = nullptr;
     }
 
     template <typename Fn>

@@ -51,7 +51,7 @@ class SimObject
   protected:
     /** Schedule a member callback @p delay ticks from now. */
     EventQueue::EventId
-    scheduleIn(Tick delay, EventQueue::Callback cb)
+    scheduleIn(Tick delay, EventQueue::Callback &&cb)
     {
         return _eq.scheduleIn(delay, std::move(cb));
     }

@@ -9,12 +9,9 @@ namespace persim
 {
 
 Scalar::Scalar(StatGroup *parent, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
 {
-    if (parent) {
-        _value = parent->allocCounter();
-        parent->add(this);
-    }
+    if (parent)
+        parent->add(this, std::move(name), std::move(desc));
 }
 
 Distribution::Distribution(StatGroup *parent, std::string name,
@@ -116,10 +113,9 @@ Distribution::reset()
 void
 StatGroup::dump(std::ostream &os) const
 {
-    for (const Scalar *s : _scalars) {
-        os << std::left << std::setw(48) << (_name + "." + s->name())
-           << ' ' << std::setw(16) << s->value() << " # " << s->desc()
-           << '\n';
+    for (const ScalarEntry &s : _scalars) {
+        os << std::left << std::setw(48) << (_name + "." + s.name) << ' '
+           << std::setw(16) << s.stat->value() << " # " << s.desc << '\n';
     }
     for (const Distribution *d : _dists) {
         os << std::left << std::setw(48)
@@ -134,8 +130,8 @@ StatGroup::dump(std::ostream &os) const
 void
 StatGroup::resetAll()
 {
-    for (Scalar *s : _scalars)
-        s->reset();
+    for (const ScalarEntry &s : _scalars)
+        s.stat->reset();
     for (Distribution *d : _dists)
         d->reset();
 }

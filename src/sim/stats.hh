@@ -7,12 +7,11 @@
  * that tree: exp::statGroupsToJson() serializes it, exp::sumStat() reads
  * one scalar back out, and StatGroup::dump() renders it as text.
  *
- * Hot-path layout (DESIGN.md §3a.2): a Scalar registered with a group
- * does not count in place — its 8-byte counter lives in the group's
- * value arena, so the counters of one component pack densely into a
- * few host cache lines instead of being strewn across the component's
- * (string-heavy) Scalar members. Free-standing Scalars (parent ==
- * nullptr, used by tests) fall back to an inline counter.
+ * Hot-path layout (DESIGN.md §3a.2): a Scalar is just its 8-byte
+ * counter, kept inside the component that bumps it. Its name and
+ * description live once in the owning StatGroup's registry, which
+ * the exporters and dump() read; nothing on the counting path touches
+ * a string.
  */
 
 #ifndef PERSIM_SIM_STATS_HH
@@ -21,7 +20,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -36,6 +34,10 @@ class StatGroup;
 class Scalar
 {
   public:
+    /** A counter registered with no group (tests, or registered later
+     * through StatGroup::add). */
+    Scalar() = default;
+
     /**
      * @param parent Group the stat registers with (may be nullptr for
      *               free-standing counters in tests).
@@ -47,32 +49,27 @@ class Scalar
     Scalar(const Scalar &) = delete;
     Scalar &operator=(const Scalar &) = delete;
 
-    void inc(std::uint64_t n = 1) { *_value += n; }
+    void inc(std::uint64_t n = 1) { _value += n; }
     Scalar &operator+=(std::uint64_t n)
     {
-        *_value += n;
+        _value += n;
         return *this;
     }
     Scalar &operator++()
     {
-        ++*_value;
+        ++_value;
         return *this;
     }
 
-    std::uint64_t value() const { return *_value; }
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    std::uint64_t value() const { return _value; }
 
-    void reset() { *_value = 0; }
+    void reset() { _value = 0; }
 
   private:
-    std::string _name;
-    std::string _desc;
-    /** Inline fallback for free-standing (parentless) counters. */
-    std::uint64_t _own = 0;
-    /** The live counter: a group-arena slot, or &_own. */
-    std::uint64_t *_value = &_own;
+    std::uint64_t _value = 0;
 };
+
+static_assert(sizeof(Scalar) == sizeof(std::uint64_t));
 
 /**
  * Streaming distribution: count / sum / min / max / mean / stdev, plus
@@ -196,31 +193,32 @@ class Distribution
  * A named collection of stats belonging to one component.
  *
  * The group does not own the stats; they are members of the component and
- * must outlive the group's use. It does own the value arena behind its
- * registered Scalars (see Scalar), so the group must outlive any counter
- * bumps — which member declaration order already guarantees when the
- * group is declared before its stats, the convention everywhere in the
- * tree.
+ * must outlive the group's use. It does own the registry of its Scalars'
+ * names and descriptions, in registration order.
  */
 class StatGroup
 {
   public:
+    /** One registered Scalar with its name and description. */
+    struct ScalarEntry
+    {
+        Scalar *stat;
+        std::string name;
+        std::string desc;
+    };
+
     explicit StatGroup(std::string name) : _name(std::move(name)) {}
 
     const std::string &name() const { return _name; }
 
-    void add(Scalar *s) { _scalars.push_back(s); }
+    void
+    add(Scalar *s, std::string name, std::string desc)
+    {
+        _scalars.push_back({s, std::move(name), std::move(desc)});
+    }
     void add(Distribution *d) { _dists.push_back(d); }
 
-    /** Hand out one arena counter slot (Scalar registration). */
-    std::uint64_t *
-    allocCounter()
-    {
-        _counters.push_back(0);
-        return &_counters.back();
-    }
-
-    const std::vector<Scalar *> &scalars() const { return _scalars; }
+    const std::vector<ScalarEntry> &scalars() const { return _scalars; }
     const std::vector<Distribution *> &distributions() const
     {
         return _dists;
@@ -234,10 +232,8 @@ class StatGroup
 
   private:
     std::string _name;
-    std::vector<Scalar *> _scalars;
+    std::vector<ScalarEntry> _scalars;
     std::vector<Distribution *> _dists;
-    /** Dense counter storage (deque: stable slot addresses). */
-    std::deque<std::uint64_t> _counters;
 };
 
 } // namespace persim

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -209,6 +210,73 @@ TEST(EventQueue, ExecutedCounterCounts)
         eq.schedule(i + 1, [] {});
     eq.run();
     EXPECT_EQ(eq.executed(), 7u);
+}
+
+// ---------------------------------------------------------------------
+// In-place dispatch: callbacks run inside their pool node
+// ---------------------------------------------------------------------
+
+TEST(EventQueue, CallbackGrowingThePoolKeepsItsCaptures)
+{
+    // The running callback schedules enough events to add pool chunks
+    // while it still executes from its own node; chunks never move, so
+    // its captures must read back intact afterwards.
+    EventQueue eq;
+    const std::size_t grow = 2 * EventQueue::kPoolChunk + 7;
+    std::vector<std::pair<Tick, std::size_t>> fired;
+    std::vector<std::uint64_t> seen;
+    const std::vector<std::uint64_t> payload{11, 22, 33};
+    eq.schedule(5, [&, payload, a = std::uint64_t{0xabcdef},
+                    b = std::uint64_t{0x123456}] {
+        for (std::size_t i = 0; i < grow; ++i) {
+            eq.scheduleIn(i % 7, [&fired, &eq, i] {
+                fired.emplace_back(eq.now(), i);
+            });
+        }
+        seen = payload;
+        seen.push_back(a);
+        seen.push_back(b);
+    });
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{11, 22, 33, 0xabcdef,
+                                                0x123456}));
+    EXPECT_GT(eq.poolAllocated(), 2 * EventQueue::kPoolChunk);
+
+    // (tick, FIFO) order: ticks never decrease, and within one tick
+    // events fire in the order they were scheduled.
+    ASSERT_EQ(fired.size(), grow);
+    for (std::size_t k = 1; k < fired.size(); ++k) {
+        const auto &prev = fired[k - 1];
+        const auto &cur = fired[k];
+        ASSERT_TRUE(prev.first < cur.first ||
+                    (prev.first == cur.first && prev.second < cur.second))
+            << "event " << cur.second << " at tick " << cur.first
+            << " after event " << prev.second << " at tick "
+            << prev.first;
+    }
+    EXPECT_EQ(fired.front(), (std::pair<Tick, std::size_t>{5, 0}));
+    EXPECT_EQ(eq.poolFree(), eq.poolAllocated());
+}
+
+TEST(EventQueue, CancellingTheRunningEventIsANoop)
+{
+    EventQueue eq;
+    EventQueue::EventId self = 0;
+    int ran = 0;
+    bool laterRan = false;
+    self = eq.schedule(10, [&] {
+        ++ran;
+        eq.cancel(self); // already fired: must not touch the node
+        eq.scheduleIn(3, [&] { laterRan = true; });
+        eq.cancel(self); // still a no-op with a new event in flight
+    });
+    eq.run();
+    EXPECT_EQ(ran, 1);
+    EXPECT_TRUE(laterRan);
+    EXPECT_EQ(eq.now(), 13u);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.pendingCancellations(), 0u);
+    EXPECT_EQ(eq.poolFree(), eq.poolAllocated());
 }
 
 } // namespace persim

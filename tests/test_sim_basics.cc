@@ -1,14 +1,18 @@
 /**
  * @file
- * Unit tests for stats, RNG, logging, and scalar helpers.
+ * Unit tests for stats, RNG, logging, inline callbacks and scalar
+ * helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <set>
 #include <sstream>
 
 #include "exp/stats_export.hh"
+#include "sim/inline_callback.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -188,6 +192,82 @@ TEST(Rng, RangeInclusive)
         EXPECT_GE(v, 10u);
         EXPECT_LE(v, 12u);
     }
+}
+
+// ---------------------------------------------------------------------
+// InlineCallback storage paths
+// ---------------------------------------------------------------------
+
+TEST(InlineCallback, CopyOnlyClosureKeepsValuesAcrossMoves)
+{
+    std::uint64_t out = 0;
+    const std::uint64_t a = 0x1111, b = 0x2222, c = 0x3333;
+    auto fn = [&out, a, b, c] { out = a + 2 * b + 3 * c; };
+    static_assert(InlineCallback::copyOnly<decltype(fn)>);
+    InlineCallback first(fn);
+    InlineCallback second(std::move(first));
+    InlineCallback third;
+    third = std::move(second);
+    InlineCallback fourth(std::move(third));
+    EXPECT_FALSE(first);
+    EXPECT_FALSE(second);
+    EXPECT_FALSE(third);
+    ASSERT_TRUE(fourth);
+    fourth();
+    EXPECT_EQ(out, a + 2 * b + 3 * c);
+}
+
+namespace
+{
+
+/** Move a shared_ptr-capturing closure with @p Pad extra bytes through
+ * several InlineCallbacks; its token must be released exactly once.
+ * @p Inline names the storage path the closure must take. */
+template <std::size_t Pad, bool Inline>
+void
+checkSharedCaptureDestroyedOnce()
+{
+    int deletions = 0;
+    std::shared_ptr<int> token(new int(7),
+                               [&deletions](int *p) {
+                                   ++deletions;
+                                   delete p;
+                               });
+    std::weak_ptr<int> watch = token;
+    int sum = 0;
+    {
+        std::array<unsigned char, Pad> pad{};
+        pad.back() = 1;
+        auto fn = [token = std::move(token), pad, &sum] {
+            sum += *token + pad.back();
+        };
+        static_assert(InlineCallback::fitsInline<decltype(fn)> == Inline);
+        static_assert(!InlineCallback::copyOnly<decltype(fn)>);
+        InlineCallback first(std::move(fn));
+        EXPECT_EQ(watch.use_count(), 1);
+        InlineCallback second(std::move(first));
+        InlineCallback third;
+        third = std::move(second);
+        EXPECT_EQ(watch.use_count(), 1);
+        third();
+        EXPECT_FALSE(watch.expired());
+        EXPECT_EQ(deletions, 0);
+    }
+    EXPECT_EQ(sum, 8);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(deletions, 1);
+}
+
+} // namespace
+
+TEST(InlineCallback, SharedCaptureDestroyedOnceInline)
+{
+    checkSharedCaptureDestroyedOnce<8, true>();
+}
+
+TEST(InlineCallback, SharedCaptureDestroyedOnceInArena)
+{
+    checkSharedCaptureDestroyedOnce<InlineCallback::kInlineBytes, false>();
 }
 
 } // namespace persim
