@@ -529,7 +529,7 @@ LlcBank::handleFlushEpoch(CoreId core, EpochId epoch)
     simAssert(!job->walked, name(), ": duplicate FlushEpoch");
     job->outstanding += static_cast<std::uint32_t>(lines.size());
 
-    const Tick interval = _pc.config().flushIssueInterval;
+    const Tick interval = persist::BarrierConfig::kFlushIssueInterval;
     Tick offset = 0;
     for (Addr addr : lines) {
         scheduleIn(offset, [this, core, epoch, addr] {

@@ -33,21 +33,11 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/**
- * Backoff before the @p retryIdx'th retry (1-based):
- * min(base << (retryIdx - 1), cap) ms, 0 when backoff is disabled.
- */
-unsigned
-backoffDelayMs(unsigned base, unsigned cap, unsigned retryIdx)
-{
-    if (base == 0 || retryIdx == 0)
-        return 0;
-    const unsigned shift = std::min(retryIdx - 1, 20u);
-    const std::uint64_t delay = static_cast<std::uint64_t>(base)
-                                << shift;
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(delay, cap ? cap : delay));
-}
+/** Polling-thread period: the watchdog's deadline resolution. */
+constexpr unsigned kPollTickMs = 25;
+
+/** Period of the --progress live line. */
+constexpr unsigned kLiveIntervalMs = 2000;
 
 } // namespace
 
@@ -67,73 +57,48 @@ JobOutcome::toJson(bool includeStats) const
     return out;
 }
 
+unsigned
+retryBackoffMs(unsigned retry)
+{
+    constexpr unsigned kBaseMs = 100;
+    constexpr unsigned kCapMs = 5000;
+    if (retry == 0)
+        return 0;
+    const unsigned shift = std::min(retry - 1, 20u);
+    return std::min(kBaseMs << shift, kCapMs);
+}
+
 JobOutcome
-runJob(const ExperimentSpec &spec, const JobControl &ctl)
+runJob(const ExperimentSpec &spec, std::size_t gridIndex,
+       const std::atomic<bool> *cancel)
 {
     JobOutcome out;
     out.spec = spec;
-    const unsigned maxAttempts = ctl.maxAttempts ? ctl.maxAttempts : 1;
-
-    for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
-        out.attempts = attempt;
-        if (attempt > 1) {
-            // Bounded exponential backoff before each retry; an
-            // immediate re-attempt just re-hits whatever transient
-            // host condition (OOM pressure, fd exhaustion) failed the
-            // last one.
-            const unsigned delay = backoffDelayMs(
-                ctl.backoffBaseMs, ctl.backoffCapMs, attempt - 1);
-            if (delay)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-        }
-        // onAttempt fires after the backoff sleep so the watchdog
-        // deadline measures simulation time, not backoff time.
-        if (ctl.onAttempt)
-            ctl.onAttempt(attempt);
-        if (ctl.cancel)
-            ctl.cancel->store(false, std::memory_order_relaxed);
-        out.timedOut = false;
-        const auto start = std::chrono::steady_clock::now();
-        try {
-            fault::maybeInject(ctl.index, ctl.cancel);
-            const model::SystemConfig cfg = spec.toSystemConfig();
-            model::System sys(cfg);
-            sys.setCancelFlag(ctl.cancel);
-            std::shared_ptr<workload::trace::TraceCaptureWriter>
-                capture;
-            auto workloads = spec.buildWorkloads(&capture);
-            for (unsigned t = 0; t < cfg.numCores; ++t)
-                sys.setWorkload(static_cast<CoreId>(t),
-                                std::move(workloads[t]));
-            out.result = sys.run();
-            out.statTree = statGroupsToJson(sys.statGroups());
-            // Captures are written only for completed runs, so a
-            // retried attempt never leaves a partial trace behind.
-            if (capture)
-                capture->writeBinaryFile(spec.captureFile);
-            out.ok = true;
-            out.error.clear();
-            out.wallMs = msSince(start);
-            return out;
-        } catch (const SimCancelled &) {
-            // Watchdog deadline. Retried like any failure (a deadline
-            // miss can be host pressure, not just a real hang); the
-            // per-attempt cancel-flag reset above re-arms the clock.
-            out.ok = false;
-            out.timedOut = true;
-            out.error = "timeout";
-            out.wallMs = msSince(start);
-        } catch (const std::exception &e) {
-            out.ok = false;
-            out.error = e.what();
-            out.wallMs = msSince(start);
-        } catch (...) {
-            out.ok = false;
-            out.error = "unknown exception";
-            out.wallMs = msSince(start);
-        }
+    out.attempts = 1;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        fault::maybeInject(gridIndex, cancel);
+        const model::SystemConfig cfg = spec.toSystemConfig();
+        model::System sys(cfg);
+        sys.setCancelFlag(cancel);
+        std::shared_ptr<workload::trace::TraceCaptureWriter> capture;
+        auto workloads = spec.buildWorkloads(&capture);
+        for (unsigned t = 0; t < cfg.numCores; ++t)
+            sys.setWorkload(static_cast<CoreId>(t),
+                            std::move(workloads[t]));
+        out.result = sys.run();
+        out.statTree = statGroupsToJson(sys.statGroups());
+        // Captures are written only for completed runs, so a retried
+        // attempt never leaves a partial trace behind.
+        if (capture)
+            capture->writeBinaryFile(spec.captureFile);
+        out.ok = true;
+    } catch (const std::exception &e) {
+        out.error = e.what();
+    } catch (...) {
+        out.error = "unknown exception";
     }
+    out.wallMs = msSince(start);
     return out;
 }
 
@@ -227,7 +192,6 @@ SweepRunner::run(const Sweep &sweep)
 {
     const std::size_t total = sweep.jobs.size();
     std::vector<JobOutcome> outcomes(total);
-    _traceRecords.clear();
     _telemetry = SweepTelemetry{};
 
     // Which job (if any) records a trace.
@@ -259,137 +223,132 @@ SweepRunner::run(const Sweep &sweep)
     const bool profOn = _opts.prof;
     if (profOn)
         prof::Sampler::start(_opts.profPeriodUsec);
-    std::vector<prof::PhaseCounts> jobProf(total);
-    std::vector<prof::CounterReading> jobCounters(total);
+    if (profOn)
+        _profile.jobs.resize(total);
+    // Each worker fills only its own jobs' entries.
+    _telemetry.jobs.resize(total);
 
-    // Host-side per-job state, shared with the live monitor thread.
-    std::vector<std::atomic<unsigned char>> states(total);
-    for (auto &s : states)
-        s.store(static_cast<unsigned char>(JobState::Queued));
-    std::vector<unsigned> jobWorker(total, 0);
-    std::vector<std::uint64_t> jobRssKb(total, 0);
-
-    // Watchdog bookkeeping. attemptStartMs holds msSince(start)+1 for
-    // the running attempt (0 = no attempt in flight, so the epoch
-    // itself can never read as idle); cancelFlags is the cooperative
-    // cancel handshake with model::System; childPids names the live
-    // sandbox child (if any) so an over-deadline job can be SIGKILLed.
-    std::vector<std::atomic<std::uint64_t>> attemptStartMs(total);
-    std::vector<std::atomic<bool>> cancelFlags(total);
-    std::vector<std::atomic<int>> childPids(total);
-    for (std::size_t i = 0; i < total; ++i) {
-        attemptStartMs[i].store(0);
-        cancelFlags[i].store(false);
-        childPids[i].store(0);
-    }
+    // Host-side per-job state, shared with the polling thread.
+    // attemptStartMs holds msSince(start)+1 for the running attempt
+    // (0 = no attempt in flight, so the epoch itself can never read as
+    // idle); cancel is the cooperative cancel handshake with
+    // model::System; childPid names the live sandbox child (if any) so
+    // an over-deadline job can be SIGKILLed.
+    struct JobSlot
+    {
+        std::atomic<unsigned char> state{
+            static_cast<unsigned char>(JobState::Queued)};
+        std::atomic<std::uint64_t> attemptStartMs{0};
+        std::atomic<bool> cancel{false};
+        std::atomic<int> childPid{0};
+    };
+    std::vector<JobSlot> slots(total);
 
     const auto start = std::chrono::steady_clock::now();
 
-    std::atomic<bool> stopWatchdog{false};
-    std::thread watchdog;
-    if (_opts.jobTimeoutMs > 0) {
-        watchdog = std::thread([&] {
-            const std::uint64_t limit = _opts.jobTimeoutMs;
-            while (!stopWatchdog.load(std::memory_order_relaxed)) {
+    // Cancel every attempt that has outlived its deadline.
+    auto fireDeadlines = [&](double nowMs) {
+        const std::uint64_t limit = _opts.jobTimeoutMs;
+        const std::uint64_t now = static_cast<std::uint64_t>(nowMs) + 1;
+        for (JobSlot &slot : slots) {
+            const std::uint64_t began =
+                slot.attemptStartMs.load(std::memory_order_relaxed);
+            if (began == 0 || now < began || now - began <= limit)
+                continue;
+            // Re-read before firing: if the worker moved on to a new
+            // attempt between the check and the store, cancelling now
+            // would shoot the fresh attempt.
+            if (slot.attemptStartMs.load(std::memory_order_relaxed) !=
+                began)
+                continue;
+            slot.cancel.store(true, std::memory_order_relaxed);
+            const int pid = slot.childPid.load(std::memory_order_relaxed);
+            if (pid > 0)
+                ::kill(static_cast<pid_t>(pid), SIGKILL);
+        }
+    };
+
+    // The --progress line reads only atomics and /proc: it cannot
+    // touch any simulation state, so determinism is unaffected.
+    auto printLiveLine = [&](double elapsed) {
+        std::size_t counts[kJobStateCount] = {};
+        for (const JobSlot &slot : slots)
+            ++counts[slot.state.load(std::memory_order_relaxed)];
+        // A sandbox child doing useful work is "running" as far as a
+        // human watching progress is concerned.
+        counts[static_cast<unsigned>(JobState::Running)] +=
+            counts[static_cast<unsigned>(JobState::Isolated)];
+        const double evPerSec =
+            elapsed > 0.0
+                ? static_cast<double>(doneEvents.load()) * 1e3 / elapsed
+                : 0.0;
+        // Live top-phase readout: which named phase owns the largest
+        // share of host samples so far.
+        char profLine[64] = "";
+        if (profOn) {
+            const prof::PhaseCounts pc = prof::Sampler::totalCounts();
+            const std::uint64_t totalSamples = pc.total();
+            std::size_t top = 0;
+            for (std::size_t p = 1; p < prof::kPhaseCount; ++p)
+                if (pc.samples[p] > pc.samples[top])
+                    top = p;
+            if (totalSamples > 0) {
+                std::snprintf(
+                    profLine, sizeof(profLine), " | top %s %.0f%%",
+                    prof::phaseName(static_cast<prof::Phase>(top)),
+                    100.0 * static_cast<double>(pc.samples[top]) /
+                        static_cast<double>(totalSamples));
+            }
+        }
+        std::lock_guard<std::mutex> lock(progressMutex);
+        std::fprintf(
+            stderr,
+            "  -- %zu queued, %zu running, %zu retrying, "
+            "%zu done, %zu failed, %zu timed-out | %.1f s | "
+            "%.2f Mev/s | RSS %.1f MB (peak %.1f MB)%s\n",
+            counts[static_cast<unsigned>(JobState::Queued)],
+            counts[static_cast<unsigned>(JobState::Running)],
+            counts[static_cast<unsigned>(JobState::Retrying)],
+            counts[static_cast<unsigned>(JobState::Done)],
+            counts[static_cast<unsigned>(JobState::Failed)],
+            counts[static_cast<unsigned>(JobState::TimedOut)],
+            elapsed / 1e3, evPerSec / 1e6,
+            static_cast<double>(currentRssKb()) / 1024.0,
+            static_cast<double>(peakRssKb()) / 1024.0, profLine);
+    };
+
+    // One polling thread serves the watchdog and the --progress line;
+    // a sweep with neither starts no thread at all.
+    std::atomic<bool> stopPolling{false};
+    std::thread poller;
+    if (_opts.jobTimeoutMs > 0 || _opts.liveProgress) {
+        poller = std::thread([&] {
+            double nextLineMs = kLiveIntervalMs;
+            while (!stopPolling.load(std::memory_order_relaxed)) {
                 std::this_thread::sleep_for(
-                    std::chrono::milliseconds(25));
-                const std::uint64_t now =
-                    static_cast<std::uint64_t>(msSince(start)) + 1;
-                for (std::size_t i = 0; i < total; ++i) {
-                    const std::uint64_t began =
-                        attemptStartMs[i].load(
-                            std::memory_order_relaxed);
-                    if (began == 0 || now < began ||
-                        now - began <= limit)
-                        continue;
-                    // Re-read before firing: if the worker moved on to
-                    // a new attempt between the check and the store,
-                    // cancelling now would shoot the fresh attempt.
-                    if (attemptStartMs[i].load(
-                            std::memory_order_relaxed) != began)
-                        continue;
-                    cancelFlags[i].store(true,
-                                         std::memory_order_relaxed);
-                    const int pid =
-                        childPids[i].load(std::memory_order_relaxed);
-                    if (pid > 0)
-                        ::kill(static_cast<pid_t>(pid), SIGKILL);
+                    std::chrono::milliseconds(kPollTickMs));
+                const double now = msSince(start);
+                if (_opts.jobTimeoutMs > 0)
+                    fireDeadlines(now);
+                if (_opts.liveProgress && now >= nextLineMs) {
+                    printLiveLine(now);
+                    nextLineMs += kLiveIntervalMs;
                 }
             }
         });
     }
 
-    // The monitor only reads atomics and /proc: it cannot touch any
-    // simulation state, so determinism is unaffected.
-    std::atomic<bool> stopMonitor{false};
-    std::thread monitor;
-    if (_opts.liveProgress) {
-        monitor = std::thread([&] {
-            while (!stopMonitor.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    _opts.liveIntervalMs));
-                std::size_t counts[kJobStateCount] = {};
-                for (const auto &s : states)
-                    ++counts[s.load(std::memory_order_relaxed)];
-                // A sandbox child doing useful work is "running" as
-                // far as a human watching progress is concerned.
-                counts[static_cast<unsigned>(JobState::Running)] +=
-                    counts[static_cast<unsigned>(JobState::Isolated)];
-                const double elapsed = msSince(start);
-                const double evPerSec =
-                    elapsed > 0.0 ? static_cast<double>(
-                                        doneEvents.load()) *
-                                        1e3 / elapsed
-                                  : 0.0;
-                // Live top-phase readout: which named phase owns the
-                // largest share of host samples so far.
-                char profLine[64] = "";
-                if (profOn) {
-                    const prof::PhaseCounts pc =
-                        prof::Sampler::totalCounts();
-                    const std::uint64_t totalSamples = pc.total();
-                    std::size_t top = 0;
-                    for (std::size_t p = 1; p < prof::kPhaseCount; ++p)
-                        if (pc.samples[p] > pc.samples[top])
-                            top = p;
-                    if (totalSamples > 0) {
-                        std::snprintf(
-                            profLine, sizeof(profLine),
-                            " | top %s %.0f%%",
-                            prof::phaseName(
-                                static_cast<prof::Phase>(top)),
-                            100.0 *
-                                static_cast<double>(
-                                    pc.samples[top]) /
-                                static_cast<double>(totalSamples));
-                    }
-                }
-                std::lock_guard<std::mutex> lock(progressMutex);
-                std::fprintf(
-                    stderr,
-                    "  -- %zu queued, %zu running, %zu retrying, "
-                    "%zu done, %zu failed, %zu timed-out | %.1f s | "
-                    "%.2f Mev/s | RSS %.1f MB (peak %.1f MB)%s\n",
-                    counts[static_cast<unsigned>(JobState::Queued)],
-                    counts[static_cast<unsigned>(JobState::Running)],
-                    counts[static_cast<unsigned>(JobState::Retrying)],
-                    counts[static_cast<unsigned>(JobState::Done)],
-                    counts[static_cast<unsigned>(JobState::Failed)],
-                    counts[static_cast<unsigned>(JobState::TimedOut)],
-                    elapsed / 1e3, evPerSec / 1e6,
-                    static_cast<double>(currentRssKb()) / 1024.0,
-                    static_cast<double>(peakRssKb()) / 1024.0,
-                    profLine);
-            }
-        });
-    }
-
+    const unsigned maxAttempts = _opts.maxAttempts ? _opts.maxAttempts : 1;
+    const JobState attemptState =
+        _opts.isolate ? JobState::Isolated : JobState::Running;
     WorkStealingPool pool(_opts.jobs, total);
     pool.run([&](std::size_t index, unsigned worker) {
         const ExperimentSpec &spec = sweep.jobs[index];
-        auto &state = states[index];
-        state.store(static_cast<unsigned char>(JobState::Running),
-                    std::memory_order_relaxed);
+        JobSlot &slot = slots[index];
+        auto setState = [&slot](JobState s) {
+            slot.state.store(static_cast<unsigned char>(s),
+                             std::memory_order_relaxed);
+        };
 
         // Tracing records in-process simulation events, which a
         // sandbox child cannot deliver back; --isolate sweeps run
@@ -410,92 +369,70 @@ SweepRunner::run(const Sweep &sweep)
             counters->start();
         }
 
-        const unsigned maxAttempts =
-            _opts.maxAttempts ? _opts.maxAttempts : 1;
+        // The only retry loop. Backoff, the deadline clock and the
+        // timeout verdict live here, outside the attempt, so they
+        // survive any way a sandbox child can die.
         JobOutcome outcome;
-        if (_opts.isolate) {
-            // Sandboxed: the child runs exactly one attempt; retry,
-            // backoff, and the deadline clock stay in the parent where
-            // they survive any way the child can die.
-            for (unsigned attempt = 1; attempt <= maxAttempts;
-                 ++attempt) {
-                if (attempt > 1) {
-                    state.store(static_cast<unsigned char>(
-                                    JobState::Retrying),
-                                std::memory_order_relaxed);
-                    const unsigned delay = backoffDelayMs(
-                        _opts.retryBackoffMs, _opts.retryBackoffCapMs,
-                        attempt - 1);
-                    if (delay)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(delay));
-                }
-                cancelFlags[index].store(false,
-                                         std::memory_order_relaxed);
-                attemptStartMs[index].store(
-                    static_cast<std::uint64_t>(msSince(start)) + 1,
-                    std::memory_order_relaxed);
-                state.store(static_cast<unsigned char>(
-                                JobState::Isolated),
-                            std::memory_order_relaxed);
-                SandboxResult sr = runJobSandboxed(spec, index,
-                                                   &childPids[index]);
-                attemptStartMs[index].store(
-                    0, std::memory_order_relaxed);
-                outcome = std::move(sr.outcome);
-                outcome.attempts = attempt;
-                if (!outcome.ok &&
-                    cancelFlags[index].load(
-                        std::memory_order_relaxed)) {
-                    // The watchdog armed this kill; report it as a
-                    // timeout, not as an anonymous SIGKILL.
-                    outcome.timedOut = true;
-                    outcome.error = "timeout";
-                }
-                if (outcome.ok)
-                    break;
+        for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
+            if (attempt > 1) {
+                setState(JobState::Retrying);
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    retryBackoffMs(attempt - 1)));
             }
-        } else {
-            JobControl ctl;
-            ctl.maxAttempts = maxAttempts;
-            ctl.backoffBaseMs = _opts.retryBackoffMs;
-            ctl.backoffCapMs = _opts.retryBackoffCapMs;
-            ctl.index = index;
-            ctl.cancel = &cancelFlags[index];
-            ctl.onAttempt = [&](unsigned attempt) {
-                if (attempt > 1)
-                    state.store(static_cast<unsigned char>(
-                                    JobState::Retrying),
-                                std::memory_order_relaxed);
-                attemptStartMs[index].store(
-                    static_cast<std::uint64_t>(msSince(start)) + 1,
-                    std::memory_order_relaxed);
-            };
-            outcome = runJob(spec, ctl);
-            attemptStartMs[index].store(0, std::memory_order_relaxed);
+            // The deadline clock starts after the backoff sleep, so
+            // the watchdog measures simulation time only.
+            slot.cancel.store(false, std::memory_order_relaxed);
+            slot.attemptStartMs.store(
+                static_cast<std::uint64_t>(msSince(start)) + 1,
+                std::memory_order_relaxed);
+            setState(attemptState);
+            outcome = _opts.isolate
+                          ? runJobSandboxed(spec, index, &slot.childPid)
+                          : runJob(spec, index, &slot.cancel);
+            slot.attemptStartMs.store(0, std::memory_order_relaxed);
+            outcome.attempts = attempt;
+            if (!outcome.ok &&
+                slot.cancel.load(std::memory_order_relaxed)) {
+                // The watchdog fired during this attempt; a sandbox
+                // child it SIGKILLed reports as a timeout, not as an
+                // anonymous signal.
+                outcome.timedOut = true;
+                outcome.error = "timeout";
+            }
+            if (outcome.ok)
+                break;
         }
 
         if (profOn) {
-            jobCounters[index] = counters->stop();
-            jobProf[index] =
-                prof::Sampler::threadCounts().minus(profBefore);
+            prof::JobProfile &jp = _profile.jobs[index];
+            jp.id = spec.id();
+            jp.counters = counters->stop();
+            jp.phases = prof::Sampler::threadCounts().minus(profBefore);
         }
         if (tracing)
             trace::detachRecorder();
 
         outcome.index = index;
-        state.store(
-            static_cast<unsigned char>(
-                outcome.ok ? JobState::Done
-                           : (outcome.timedOut ? JobState::TimedOut
-                                               : JobState::Failed)),
-            std::memory_order_relaxed);
+        const JobState finalState =
+            outcome.ok ? JobState::Done
+                       : (outcome.timedOut ? JobState::TimedOut
+                                           : JobState::Failed);
+        setState(finalState);
         // Journal the cell before announcing it done: once a line is
         // fsync'd, a crash anywhere later cannot lose this result.
         if (_opts.journal && outcome.ok)
             _opts.journal->append(outcome);
-        jobWorker[index] = worker;
-        jobRssKb[index] = currentRssKb();
+        JobTelemetry &jt = _telemetry.jobs[index];
+        jt.id = spec.id();
+        jt.state = finalState;
+        jt.isolated = _opts.isolate;
+        jt.exitCode = outcome.exitCode;
+        jt.termSignal = outcome.termSignal;
+        jt.attempts = outcome.attempts;
+        jt.worker = worker;
+        jt.wallMs = outcome.wallMs;
+        jt.events = outcome.result.events;
+        jt.rssAfterKb = currentRssKb();
         doneEvents.fetch_add(outcome.result.events,
                              std::memory_order_relaxed);
         const std::size_t finished = done.fetch_add(1) + 1;
@@ -518,70 +455,30 @@ SweepRunner::run(const Sweep &sweep)
         }
         outcomes[index] = std::move(outcome);
     });
-    if (watchdog.joinable()) {
-        stopWatchdog.store(true);
-        watchdog.join();
+    if (poller.joinable()) {
+        stopPolling.store(true);
+        poller.join();
     }
-    if (monitor.joinable()) {
-        stopMonitor.store(true);
-        monitor.join();
-    }
-    _wallMs = msSince(start);
-    _traceRecords = _recorder->records();
+    const double wallMs = msSince(start);
     if (profOn)
         prof::Sampler::stop();
 
     _telemetry.sweep = sweep.name;
     _telemetry.workers = _opts.jobs ? _opts.jobs : 1;
-    _telemetry.wallMs = _wallMs;
+    _telemetry.wallMs = wallMs;
     _telemetry.peakRssKb = peakRssKb();
     _telemetry.hostCpus = hostCpuCount();
     _telemetry.loadAvg1 = loadAverage1();
-    _telemetry.jobs.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) {
-        const JobOutcome &o = outcomes[i];
-        JobTelemetry jt;
-        jt.id = o.spec.id();
-        jt.state = o.ok ? JobState::Done
-                        : (o.timedOut ? JobState::TimedOut
-                                      : JobState::Failed);
-        jt.isolated = _opts.isolate;
-        jt.exitCode = o.exitCode;
-        jt.termSignal = o.termSignal;
-        jt.attempts = o.attempts;
-        jt.worker = jobWorker[i];
-        jt.wallMs = o.wallMs;
-        jt.events = o.result.events;
-        jt.rssAfterKb = jobRssKb[i];
-        if (profOn) {
-            jt.profiled = true;
-            jt.profPhases = jobProf[i];
-            jt.counters = jobCounters[i];
-        }
-        _telemetry.jobs.push_back(std::move(jt));
-    }
 
     if (profOn) {
-        _telemetry.profiled = true;
-        _telemetry.profPeriodUsec = _opts.profPeriodUsec;
-        _telemetry.profPhases = prof::Sampler::totalCounts();
-
         _profile.sweep = sweep.name;
         _profile.periodUsec = _opts.profPeriodUsec;
         _profile.hostCpus = _telemetry.hostCpus;
         _profile.loadAvg1 = _telemetry.loadAvg1;
-        _profile.phases = _telemetry.profPhases;
+        _profile.phases = prof::Sampler::totalCounts();
         _profile.unattributed = prof::Sampler::unattributedSamples();
-        _profile.jobs.reserve(total);
-        for (std::size_t i = 0; i < total; ++i) {
-            prof::JobProfile jp;
-            jp.id = outcomes[i].spec.id();
-            jp.phases = jobProf[i];
-            jp.counters = jobCounters[i];
-            _profile.counters.add(jobCounters[i]);
-            _profile.jobs.push_back(std::move(jp));
-        }
-        _telemetry.counters = _profile.counters;
+        for (const prof::JobProfile &jp : _profile.jobs)
+            _profile.counters.add(jp.counters);
     }
     return outcomes;
 }

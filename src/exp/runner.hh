@@ -18,13 +18,17 @@
  * Jobs are isolated: an exception inside one job (bad config, panic,
  * bug) is caught, retried up to maxAttempts times with bounded
  * exponential backoff, and recorded as a failed outcome; it never
- * takes down the sweep. Two optional layers harden that guarantee
+ * takes down the sweep. One attempt loop in SweepRunner::run serves
+ * in-process and sandboxed cells alike; each attempt is one runJob or
+ * runJobSandboxed call. Two optional layers harden that guarantee
  * against faults exceptions cannot catch:
  *
- *   - Watchdog (RunnerOptions::jobTimeoutMs): a monitor thread tracks
+ *   - Watchdog (RunnerOptions::jobTimeoutMs): a polling thread tracks
  *     every attempt's deadline and flips a per-job cancel flag that
  *     System::run polls, so a runaway cell becomes a failed outcome
- *     (error "timeout") instead of a stuck sweep.
+ *     (error "timeout") instead of a stuck sweep. The same thread
+ *     prints the --progress line; it runs only when one of the two is
+ *     on.
  *   - Sandbox isolation (RunnerOptions::isolate): each job forks into
  *     a child that streams its JobOutcome JSON back over a pipe, so a
  *     segfault/abort/OOM kills one cell (exit status and signal name
@@ -108,43 +112,29 @@ struct JobOutcome
     JsonValue toJson(bool includeStats = true) const;
 };
 
-/** Per-job execution controls for runJob (all optional). */
-struct JobControl
-{
-    /** Attempts (>= 1; retries happen only after exceptions/timeouts). */
-    unsigned maxAttempts = 1;
+/**
+ * Run one attempt of @p spec synchronously on the calling thread.
+ * Retries belong to SweepRunner::run; a sandbox child calls this too.
+ *
+ * @param gridIndex Grid index of the job, used by the PERSIM_FAULT
+ *                  injection hook (exp/fault.hh). SIZE_MAX (the
+ *                  default) never matches an injection.
+ * @param cancel    Watchdog flag handed to System::run, which throws
+ *                  SimCancelled once it is set; SweepRunner::run then
+ *                  records the failed attempt as "timeout". May be
+ *                  nullptr.
+ */
+JobOutcome runJob(const ExperimentSpec &spec,
+                  std::size_t gridIndex = SIZE_MAX,
+                  const std::atomic<bool> *cancel = nullptr);
 
-    /**
-     * Backoff before retry k (k >= 1 retries already happened):
-     * min(backoffBaseMs << (k - 1), backoffCapMs) milliseconds.
-     * 0 disables the sleep (the historical immediate re-attempt).
-     */
-    unsigned backoffBaseMs = 100;
-    unsigned backoffCapMs = 5000;
-
-    /**
-     * Grid index of this job, used by the PERSIM_FAULT injection hook
-     * (exp/fault.hh). SIZE_MAX (default) never matches an injection.
-     */
-    std::size_t index = SIZE_MAX;
-
-    /**
-     * Watchdog flag: runJob clears it at the start of every attempt
-     * and hands it to System::run, which throws SimCancelled once a
-     * monitor sets it; the attempt is then recorded as "timeout".
-     */
-    std::atomic<bool> *cancel = nullptr;
-
-    /**
-     * Observer called at the start of every attempt (1-based), after
-     * any backoff sleep — so watchdog deadlines restarted here do not
-     * count the backoff against the job.
-     */
-    std::function<void(unsigned)> onAttempt;
-};
-
-/** Run one job synchronously on the calling thread. */
-JobOutcome runJob(const ExperimentSpec &spec, const JobControl &ctl = {});
+/**
+ * Sleep before the @p retry'th retry (1-based): the backoff starts at
+ * 100 ms and doubles per retry up to a 5 s cap. An immediate
+ * re-attempt would just re-hit whatever transient host condition (OOM
+ * pressure, fd exhaustion) failed the last one.
+ */
+unsigned retryBackoffMs(unsigned retry);
 
 /**
  * Generic work-stealing index pool: runs fn(jobIndex) for every index
@@ -195,16 +185,11 @@ struct RunnerOptions
     /** Worker threads (1 = serial). */
     unsigned jobs = 1;
 
-    /** Attempts per job (>= 1; retries happen only after exceptions). */
-    unsigned maxAttempts = 2;
-
     /**
-     * Bounded exponential backoff between attempts: retry k sleeps
-     * min(retryBackoffMs << (k - 1), retryBackoffCapMs) ms. 0 restores
-     * the historical immediate re-attempt.
+     * Attempts per job (>= 1; retries happen only after a failure and
+     * back off per retryBackoffMs()).
      */
-    unsigned retryBackoffMs = 100;
-    unsigned retryBackoffCapMs = 5000;
+    unsigned maxAttempts = 2;
 
     /**
      * Per-job wall-clock deadline in milliseconds, enforced per
@@ -242,7 +227,7 @@ struct RunnerOptions
      * When non-empty: capture this trace-flag set ("Epoch,Flush" or
      * "all") for the job whose spec id matches traceJobId (or the first
      * job when traceJobId is empty). Recorded events are available from
-     * traceRecords() after run().
+     * recorder() after run().
      */
     std::string traceFlags;
     std::string traceJobId;
@@ -255,19 +240,16 @@ struct RunnerOptions
     Tick counterWindow = 0;
 
     /**
-     * Live telemetry: print a periodic one-line state summary
+     * Live telemetry: every 2 s, print a one-line state summary
      * (queued/running/retrying/done/failed counts, events/sec, RSS) to
      * stderr while the sweep runs, in addition to per-job progress.
      */
     bool liveProgress = false;
 
-    /** Milliseconds between live telemetry lines. */
-    unsigned liveIntervalMs = 2000;
-
     /**
      * Host-time profiling: arm the SIGPROF phase sampler for the whole
      * sweep and open a hardware counter group around every job. The
-     * breakdown lands in telemetry() and profile(); the deterministic
+     * breakdown lands in profile(); the deterministic
      * sweep JSON is untouched. Do not combine with -pg builds (gprof
      * owns ITIMER_PROF there).
      */
@@ -290,20 +272,14 @@ class SweepRunner
     /** Run every job; outcomes are ordered by job index. */
     std::vector<JobOutcome> run(const Sweep &sweep);
 
-    /** Captured trace events (empty unless traceFlags was set). */
-    const std::vector<trace::Record> &traceRecords() const
-    {
-        return _traceRecords;
-    }
-
     /**
-     * The full trace capture of the last run() — records, duration
-     * spans, counter samples — for writeChromeTrace; nullptr before
-     * run() or when traceFlags was empty.
+     * The trace capture of the last run() — records, duration spans,
+     * counter samples — for writeChromeTrace; nullptr before run(),
+     * empty when traceFlags was empty.
      */
     const trace::Recorder *recorder() const { return _recorder.get(); }
 
-    /** Host-side telemetry of the last run() (--telemetry-out). */
+    /** Host-side telemetry of the last run() (--timing-out). */
     const SweepTelemetry &telemetry() const { return _telemetry; }
 
     /**
@@ -312,16 +288,11 @@ class SweepRunner
      */
     const prof::SweepProfile &profile() const { return _profile; }
 
-    /** Total wall-clock of the last run() in milliseconds. */
-    double wallMs() const { return _wallMs; }
-
   private:
     RunnerOptions _opts;
-    std::vector<trace::Record> _traceRecords;
     std::unique_ptr<trace::Recorder> _recorder;
     SweepTelemetry _telemetry;
     prof::SweepProfile _profile;
-    double _wallMs = 0.0;
 };
 
 /**

@@ -34,27 +34,18 @@
 namespace persim::exp
 {
 
-/** What came back from one sandboxed attempt. */
-struct SandboxResult
-{
-    /** Fully-populated outcome (failed when the child crashed). */
-    JobOutcome outcome;
-
-    /** The child died without delivering an outcome document. */
-    bool childCrashed = false;
-};
-
 /**
- * Run one attempt of @p spec in a forked child.
+ * Run one attempt of @p spec in a forked child; the outcome is failed
+ * (naming the signal or exit status) when the child crashed.
  *
  * @param gridIndex Grid index, forwarded for PERSIM_FAULT injection.
  * @param childPid  Published (> 0) while the child is alive so the
  *                  watchdog can SIGKILL an over-deadline job; reset
  *                  to 0 before returning. May be nullptr.
  */
-SandboxResult runJobSandboxed(const ExperimentSpec &spec,
-                              std::size_t gridIndex,
-                              std::atomic<int> *childPid);
+JobOutcome runJobSandboxed(const ExperimentSpec &spec,
+                           std::size_t gridIndex,
+                           std::atomic<int> *childPid);
 
 /** Stable name for a signal number: "SIGSEGV", else "SIG<n>". */
 const char *signalName(int sig);

@@ -7,8 +7,6 @@
 #include <string>
 #include <thread>
 
-#include "prof/profile.hh"
-
 namespace persim::exp
 {
 
@@ -146,13 +144,6 @@ JobTelemetry::toJson() const
         if (!termSignal.empty())
             out["signal"] = JsonValue(termSignal);
     }
-    if (profiled) {
-        JsonValue p = JsonValue::object();
-        p["samples"] = JsonValue(profPhases.total());
-        p["phases"] = prof::phaseCountsToJson(profPhases);
-        out["prof"] = std::move(p);
-        out["counters"] = counters.toJson();
-    }
     return out;
 }
 
@@ -219,15 +210,6 @@ SweepTelemetry::toJson() const
     out["failed"] = JsonValue(failedJobs());
     out["timedOut"] = JsonValue(timedOutJobs());
     out["retried"] = JsonValue(retriedJobs());
-    if (profiled) {
-        JsonValue p = JsonValue::object();
-        p["periodUsec"] = JsonValue(profPeriodUsec);
-        p["samples"] = JsonValue(profPhases.total());
-        p["phases"] = prof::phaseCountsToJson(profPhases);
-        out["prof"] = std::move(p);
-        out["counterSource"] = JsonValue(counters.source);
-        out["counters"] = counters.toJson();
-    }
     JsonValue arr = JsonValue::array();
     for (const JobTelemetry &j : jobs)
         arr.push(j.toJson());

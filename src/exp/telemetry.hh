@@ -1,21 +1,16 @@
 /**
  * @file
  * Live sweep telemetry: per-job state tracking, host RSS probes, and
- * the machine-readable telemetry document behind persim_sweep's
- * --progress / --telemetry-out flags.
+ * the machine-readable host document behind persim_sweep's
+ * --progress / --timing-out flags.
  *
  * Telemetry is strictly host-side observability: it reads the
  * simulation's outputs (events, wall clock) and /proc, never the
  * simulated machine, so it cannot perturb determinism. It is also
  * explicitly NON-deterministic (wall clock, RSS, worker ids) and so
- * lives in its own document, never in the sweep JSON.
- *
- * When a sweep runs with profiling (RunnerOptions::prof), each job
- * additionally carries its phase-sample breakdown and hardware
- * counter reading (prof/sampler.hh, prof/hw_counters.hh), and the
- * document header carries the aggregate — so a single telemetry file
- * answers both "where did the wall clock go" and "what did the host
- * look like while it went".
+ * lives in its own document, never in the sweep JSON. A profiled
+ * sweep's phase samples and hardware counters live only in the
+ * profile document (prof/profile.hh, --prof-out).
  */
 
 #ifndef PERSIM_EXP_TELEMETRY_HH
@@ -27,8 +22,6 @@
 #include <vector>
 
 #include "exp/json.hh"
-#include "prof/hw_counters.hh"
-#include "prof/sampler.hh"
 
 namespace persim::exp
 {
@@ -99,15 +92,10 @@ struct JobTelemetry
     int exitCode = -1;
     std::string termSignal;
 
-    /** Host-time profile of this job (profiled sweeps only). */
-    bool profiled = false;
-    prof::PhaseCounts profPhases;
-    prof::CounterReading counters;
-
     JsonValue toJson() const;
 };
 
-/** Telemetry for a whole sweep run (--telemetry-out document). */
+/** Telemetry for a whole sweep run (--timing-out document). */
 struct SweepTelemetry
 {
     std::string sweep;
@@ -118,12 +106,6 @@ struct SweepTelemetry
     unsigned hostCpus = 0;
     /** 1-minute load average at the end of the run; < 0 = unknown. */
     double loadAvg1 = -1.0;
-
-    /** Aggregate host-time profile (profiled sweeps only). */
-    bool profiled = false;
-    unsigned profPeriodUsec = 0;
-    prof::PhaseCounts profPhases;
-    prof::CounterReading counters;
 
     std::vector<JobTelemetry> jobs;
 

@@ -44,12 +44,15 @@ metaEvent(const char *what, unsigned tid, const std::string &label)
     return meta;
 }
 
+} // namespace
+
 void
-writeTraceDoc(std::ostream &os, const std::vector<trace::Record> &records,
-              const std::vector<trace::Span> &spans,
-              const std::vector<trace::Counter> &counters,
-              const std::string &processName)
+writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
+                 const std::string &processName)
 {
+    const std::vector<trace::Record> &records = rec.records();
+    const std::vector<trace::Span> &spans = rec.spans();
+    const std::vector<trace::Counter> &counters = rec.counters();
     JsonValue doc = JsonValue::object();
     JsonValue events = JsonValue::array();
 
@@ -198,24 +201,6 @@ writeTraceDoc(std::ostream &os, const std::vector<trace::Record> &records,
     doc["displayTimeUnit"] = JsonValue("ms");
     doc.write(os, 0);
     os << '\n';
-}
-
-} // namespace
-
-void
-writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
-                 const std::string &processName)
-{
-    writeTraceDoc(os, rec.records(), rec.spans(), rec.counters(),
-                  processName);
-}
-
-void
-writeChromeTrace(std::ostream &os,
-                 const std::vector<trace::Record> &records,
-                 const std::string &processName)
-{
-    writeTraceDoc(os, records, {}, {}, processName);
 }
 
 void

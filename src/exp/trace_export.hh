@@ -44,14 +44,6 @@ void writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
                       const std::string &processName);
 
 /**
- * Instants-only overload kept for callers that hold a bare record
- * vector (no spans or counters).
- */
-void writeChromeTrace(std::ostream &os,
-                      const std::vector<trace::Record> &records,
-                      const std::string &processName);
-
-/**
  * Write counter samples as a CSV time series: one "tick" column plus
  * one column per counter track (first-appearance order), one row per
  * sample tick. Cells are blank for tracks without a sample at a tick.

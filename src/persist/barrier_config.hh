@@ -68,17 +68,11 @@ struct BarrierConfig
      */
     bool blockingBarrier = false;
 
-    /**
-     * Every store persists before the next becomes visible: the naive
-     * write-through design used as the Strict Persistency strawman.
-     */
-    bool writeThrough = false;
-
     /** Prefer untagged LLC victims to avoid replacement conflicts. */
     bool avoidTaggedVictims = true;
 
     /** Cycles between successive line-flush issues in a flush walk. */
-    Tick flushIssueInterval = 1;
+    static constexpr Tick kFlushIssueInterval = 1;
 
     /**
      * Use the per-core arbiter for flush coordination (O(n) messages).

@@ -424,7 +424,7 @@ EpochArbiter::beginBankPhase(Epoch &e)
         _l1->flushEngine().snapshot(_core, e.id);
     const Tick ready = _l1->flushLines(lines,
                                        _pc.config().invalidatingFlush,
-                                       _pc.config().flushIssueInterval);
+                                       BarrierConfig::kFlushIssueInterval);
     if (trace::probing()) [[unlikely]] {
         trace::span(curTick(), ready, _l1->name(),
                     "flush walk e" + std::to_string(e.id), "Flush");

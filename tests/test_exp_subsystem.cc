@@ -544,7 +544,7 @@ TEST(ExpTrace, RecorderCapturesAndExportsChromeJson)
     ASSERT_FALSE(recorder.records().empty());
 
     std::ostringstream os;
-    exp::writeChromeTrace(os, recorder.records(), "test/hash");
+    exp::writeChromeTrace(os, recorder, "test/hash");
     JsonValue doc = JsonValue::parse(os.str());
     const JsonValue *events = doc.get("traceEvents");
     ASSERT_NE(events, nullptr);

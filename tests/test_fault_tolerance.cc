@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the sweep fault-tolerance layer: deterministic fault
- * injection (PERSIM_FAULT), the per-job watchdog, retry backoff,
+ * injection (PERSIM_FAULT), the per-job watchdog (in-process and
+ * sandboxed), the retry loop and its backoff,
  * sandbox process isolation, the crash-safe journal, and resume
  * merging — including the byte-identity guarantee that a resumed or
  * isolated sweep serializes exactly like an uninterrupted in-process
@@ -122,7 +123,7 @@ TEST(Fault, FromEnvRereadsEveryCall)
 
 TEST(Fault, StandaloneRunJobIsNeverFaulted)
 {
-    // Library callers use the default JobControl index (SIZE_MAX),
+    // Library callers use the default grid index (SIZE_MAX),
     // which must never match an injection directive.
     ScopedFault f("throw:0");
     const JobOutcome out = exp::runJob(tinySpec());
@@ -176,6 +177,34 @@ TEST(Watchdog, CancelsHungJobAsTimeout)
     EXPECT_EQ(tel.failedJobs(), 1u);
 }
 
+TEST(Watchdog, KillsHungIsolatedJobAsTimeout)
+{
+    // The sandbox child has no cancel flag to poll, so the hang only
+    // ends when the watchdog SIGKILLs the child.
+    ScopedFault f("hang:0");
+    Sweep sweep = tinySweep(2);
+    exp::RunnerOptions opts;
+    opts.jobs = 2;
+    opts.maxAttempts = 1;
+    opts.jobTimeoutMs = 200;
+    opts.isolate = true;
+    opts.progress = false;
+    exp::SweepRunner runner(opts);
+    auto outcomes = runner.run(sweep);
+
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_FALSE(outcomes[0].ok);
+    EXPECT_TRUE(outcomes[0].timedOut);
+    EXPECT_EQ(outcomes[0].error, "timeout");
+    EXPECT_TRUE(outcomes[1].ok) << outcomes[1].error;
+
+    const exp::SweepTelemetry &tel = runner.telemetry();
+    ASSERT_EQ(tel.jobs.size(), 2u);
+    EXPECT_EQ(tel.jobs[0].state, exp::JobState::TimedOut);
+    EXPECT_EQ(tel.jobs[0].termSignal, "SIGKILL");
+    EXPECT_EQ(tel.timedOutJobs(), 1u);
+}
+
 TEST(Watchdog, FastJobsAreUntouched)
 {
     Sweep sweep = tinySweep(3);
@@ -193,44 +222,49 @@ TEST(Watchdog, FastJobsAreUntouched)
 // Retry backoff
 // ---------------------------------------------------------------------
 
-TEST(Retry, BacksOffExponentiallyBetweenAttempts)
+TEST(Retry, BackoffDoublesFrom100MsUpTo5s)
 {
-    ExperimentSpec bad = tinySpec();
-    bad.workload = "no-such-workload";
-
-    exp::JobControl ctl;
-    ctl.maxAttempts = 3;
-    ctl.backoffBaseMs = 30;
-    ctl.backoffCapMs = 40; // second retry clamps: 30 + 40 ms total
-    const auto start = std::chrono::steady_clock::now();
-    const JobOutcome out = exp::runJob(bad, ctl);
-    const double elapsed =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-
-    EXPECT_FALSE(out.ok);
-    EXPECT_EQ(out.attempts, 3u);
-    EXPECT_GE(elapsed, 70.0); // both sleeps happened
+    EXPECT_EQ(exp::retryBackoffMs(0), 0u);
+    EXPECT_EQ(exp::retryBackoffMs(1), 100u);
+    EXPECT_EQ(exp::retryBackoffMs(2), 200u);
+    EXPECT_EQ(exp::retryBackoffMs(3), 400u);
+    EXPECT_EQ(exp::retryBackoffMs(6), 3200u);
+    EXPECT_EQ(exp::retryBackoffMs(7), 5000u);
+    EXPECT_EQ(exp::retryBackoffMs(1000), 5000u);
 }
 
-TEST(Retry, ZeroBaseRestoresImmediateReattempt)
+TEST(Retry, BacksOffExponentiallyBetweenAttempts)
 {
-    ExperimentSpec bad = tinySpec();
-    bad.workload = "no-such-workload";
+    // One attempt loop serves both paths: a failing cell retries the
+    // same way in-process and in a sandbox child.
+    Sweep sweep = tinySweep(1);
+    sweep.jobs.front().workload = "no-such-workload";
 
-    exp::JobControl ctl;
-    ctl.maxAttempts = 4;
-    ctl.backoffBaseMs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    const JobOutcome out = exp::runJob(bad, ctl);
-    const double elapsed =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    std::string errors[2];
+    for (const bool isolate : {false, true}) {
+        exp::RunnerOptions opts;
+        opts.maxAttempts = 3;
+        opts.isolate = isolate;
+        opts.progress = false;
+        exp::SweepRunner runner(opts);
+        const auto start = std::chrono::steady_clock::now();
+        const auto outcomes = runner.run(sweep);
+        const double elapsed =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count();
 
-    EXPECT_EQ(out.attempts, 4u);
-    EXPECT_LT(elapsed, 1000.0);
+        ASSERT_EQ(outcomes.size(), 1u);
+        EXPECT_FALSE(outcomes[0].ok);
+        EXPECT_EQ(outcomes[0].attempts, 3u) << "isolate=" << isolate;
+        EXPECT_FALSE(outcomes[0].error.empty());
+        errors[isolate] = outcomes[0].error;
+        EXPECT_EQ(runner.telemetry().retriedJobs(), 1u);
+        EXPECT_EQ(runner.telemetry().jobs[0].state,
+                  exp::JobState::Failed);
+        EXPECT_GE(elapsed, 300.0) << "100 + 200 ms of backoff";
+    }
+    EXPECT_EQ(errors[0], errors[1]);
 }
 
 // ---------------------------------------------------------------------

@@ -274,7 +274,7 @@ TEST(ObsExport, OverlappingSpansSplayIntoLanes)
               laneNames.end());
 }
 
-TEST(ObsExport, LegacyRecordsOverloadStillExports)
+TEST(ObsExport, InstantOnlyRecorderExports)
 {
     trace::Recorder recorder("all");
     trace::attachRecorder(&recorder);
@@ -282,7 +282,7 @@ TEST(ObsExport, LegacyRecordsOverloadStillExports)
     trace::detachRecorder();
 
     std::ostringstream os;
-    exp::writeChromeTrace(os, recorder.records(), "legacy");
+    exp::writeChromeTrace(os, recorder, "legacy");
     const JsonValue doc = JsonValue::parse(os.str());
     const JsonValue *events = doc.get("traceEvents");
     bool sawInstant = false;

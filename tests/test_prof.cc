@@ -4,7 +4,7 @@
  * their nesting/disabled semantics, the deterministic fake-sampler
  * hook, the hardware counter fallback ladder, profile JSON
  * round-trips, the /proc/self/status parser behind the RSS probes,
- * and the runner integration (profiled telemetry, determinism of the
+ * and the runner integration (the sweep profile, determinism of the
  * sweep document under profiling).
  */
 
@@ -371,24 +371,27 @@ TEST(ProfRunner, ProfiledSweepFillsTelemetryAndProfile)
     ASSERT_EQ(outcomes.size(), 4u);
 
     const exp::SweepTelemetry &tel = runner.telemetry();
-    EXPECT_TRUE(tel.profiled);
-    EXPECT_EQ(tel.profPeriodUsec, opts.profPeriodUsec);
     EXPECT_GE(tel.hostCpus, 1u);
     ASSERT_EQ(tel.jobs.size(), 4u);
-    for (const exp::JobTelemetry &jt : tel.jobs) {
-        EXPECT_TRUE(jt.profiled);
-        EXPECT_FALSE(jt.counters.source.empty());
-    }
 
+    // The profile lives only in the --prof-out document.
     const prof::SweepProfile &p = runner.profile();
     EXPECT_EQ(p.sweep, sweep.name);
     EXPECT_EQ(p.periodUsec, opts.profPeriodUsec);
+    EXPECT_EQ(p.hostCpus, tel.hostCpus);
     ASSERT_EQ(p.jobs.size(), 4u);
+    for (std::size_t i = 0; i < p.jobs.size(); ++i) {
+        EXPECT_EQ(p.jobs[i].id, tel.jobs[i].id);
+        EXPECT_FALSE(p.jobs[i].counters.source.empty());
+    }
     EXPECT_FALSE(p.counters.source.empty());
-    // Telemetry JSON exposes the prof block only when profiled.
+    const std::string profJson = p.toJson().dump();
+    EXPECT_NE(profJson.find("\"phases\""), std::string::npos);
+    EXPECT_NE(profJson.find("\"source\""), std::string::npos);
+    // Telemetry no longer carries a copy of the profile.
     const std::string telJson = tel.toJson().dump();
-    EXPECT_NE(telJson.find("\"prof\""), std::string::npos);
-    EXPECT_NE(telJson.find("\"counterSource\""), std::string::npos);
+    EXPECT_EQ(telJson.find("\"prof\""), std::string::npos);
+    EXPECT_EQ(telJson.find("\"counters\""), std::string::npos);
     EXPECT_FALSE(prof::Sampler::running()) << "run() must stop sampler";
 }
 
@@ -402,7 +405,8 @@ TEST(ProfRunner, UnprofiledSweepOmitsProfFields)
     opts.progress = false;
     exp::SweepRunner runner(opts);
     runner.run(sweep);
-    EXPECT_FALSE(runner.telemetry().profiled);
+    EXPECT_TRUE(runner.profile().jobs.empty());
+    EXPECT_EQ(runner.profile().phases.total(), 0u);
     const std::string telJson = runner.telemetry().toJson().dump();
     EXPECT_EQ(telJson.find("\"prof\""), std::string::npos);
     EXPECT_GE(runner.telemetry().hostCpus, 1u);

@@ -104,8 +104,10 @@ usage(const char *argv0)
         "  --only PATTERN    run only jobs whose id contains PATTERN\n"
         "                    (substring match on \"<workload>/<config>/"
         "s<seed>\")\n"
-        "  --timing-out FILE write host wall-clock info (separate file;\n"
-        "                    never part of the deterministic output)\n"
+        "  --timing-out FILE write host telemetry JSON (wall clock, "
+        "per-job\n"
+        "                    state, RSS, events/sec; never part of the\n"
+        "                    deterministic output)\n"
         "  --trace FILE      write a Chrome/Perfetto trace of one job\n"
         "  --trace-job ID    which job to trace (default: first);\n"
         "                    ID is \"<workload>/<config>/s<seed>\"\n"
@@ -114,6 +116,7 @@ usage(const char *argv0)
         "traced job\n"
         "                    (default 5000; needs --trace)\n"
         "  --interval-csv F  write the interval counter samples as CSV\n"
+        "                    (needs --trace)\n"
         "  --shard K/N       run only round-robin shard K of N (1-based);"
         "\n"
         "                    merge shard outputs with jq -s (see "
@@ -125,18 +128,14 @@ usage(const char *argv0)
         "                    + per-job hardware counters (perf_event "
         "with\n"
         "                    getrusage/clock fallback); breakdown goes "
-        "to the\n"
-        "                    telemetry document and --prof-out\n"
+        "to\n"
+        "                    --prof-out\n"
         "  --prof-out FILE   write the profile JSON (implies --prof); "
         "render\n"
         "                    and diff it with tools/persim_prof\n"
         "  --prof-hz N       sampling rate, samples per CPU-second "
         "(default\n"
         "                    ~1000; the exact period is kept prime)\n"
-        "  --telemetry-out F write host telemetry JSON (per-job state, "
-        "RSS,\n"
-        "                    events/sec; separate from deterministic "
-        "output)\n"
         "  --list            print the job grid (or, without --figure,\n"
         "                    every grid name and title) and exit\n"
         "  --quiet           no per-job progress lines\n"
@@ -170,7 +169,6 @@ main(int argc, char **argv)
     std::string replayTraceFile;
     std::string captureDir;
     std::string replayDir;
-    std::string telemetryFile;
     std::string intervalCsvFile;
     std::string profFile;
     bool profEnabled = false;
@@ -253,8 +251,6 @@ main(int argc, char **argv)
             profEnabled = true;
         } else if (arg == "--prof-hz")
             profHz = parseNumU32("--prof-hz", value("--prof-hz"));
-        else if (arg == "--telemetry-out")
-            telemetryFile = value("--telemetry-out");
         else if (arg == "--interval") {
             intervalTicks = parseNum("--interval", value("--interval"));
             intervalSet = true;
@@ -313,6 +309,13 @@ main(int argc, char **argv)
         // silently write an empty trace.
         std::fprintf(stderr, "--isolate cannot record --trace "
                              "(simulation runs in a child process)\n");
+        return 2;
+    }
+    if (!intervalCsvFile.empty() && traceFile.empty()) {
+        // Counter samples ride the trace capture; without it the CSV
+        // would hold only a header.
+        std::fprintf(stderr, "--interval-csv needs --trace FILE "
+                             "(counter samples ride the trace capture)\n");
         return 2;
     }
     if (resume && outFile.empty()) {
@@ -403,6 +406,19 @@ main(int argc, char **argv)
                              sweep.name.c_str(), shardCount);
                 return 2;
             }
+        }
+
+        // A --trace-job that names no job would write an empty trace.
+        if (!traceJob.empty() && !traceFile.empty() &&
+            std::none_of(sweep.jobs.begin(), sweep.jobs.end(),
+                         [&](const auto &spec) {
+                             return spec.id() == traceJob;
+                         })) {
+            std::fprintf(stderr,
+                         "--trace-job '%s' matches no job in %s "
+                         "(see --list)\n",
+                         traceJob.c_str(), sweep.name.c_str());
+            return 2;
         }
 
         // Applied after seed expansion / --only / --shard so every
@@ -631,10 +647,7 @@ main(int argc, char **argv)
             std::ofstream os(intervalCsvFile);
             if (!os)
                 fatal("cannot write ", intervalCsvFile);
-            static const std::vector<trace::Counter> kNoCounters;
-            const auto &counters = runner.recorder()
-                                       ? runner.recorder()->counters()
-                                       : kNoCounters;
+            const auto &counters = runner.recorder()->counters();
             exp::writeCounterCsv(os, counters);
             std::fprintf(stderr, "wrote %s (%zu samples)\n",
                          intervalCsvFile.c_str(), counters.size());
@@ -655,38 +668,9 @@ main(int argc, char **argv)
                          100.0 * p.attributionRatio(),
                          p.counters.source.c_str());
         }
-        if (!telemetryFile.empty()) {
-            std::ofstream os(telemetryFile);
-            if (!os)
-                fatal("cannot write ", telemetryFile);
-            runner.telemetry().toJson().write(os, 2);
-            os << '\n';
-            std::fprintf(stderr, "wrote %s\n", telemetryFile.c_str());
-        }
         if (!timingFile.empty()) {
-            const exp::SweepTelemetry &tel = runner.telemetry();
-            exp::JsonValue timing = exp::JsonValue::object();
-            timing["sweep"] = exp::JsonValue(sweep.name);
-            timing["workers"] = exp::JsonValue(jobs);
+            exp::JsonValue timing = runner.telemetry().toJson();
             timing["jobCount"] = exp::JsonValue(outcomes.size());
-            timing["wallMs"] = exp::JsonValue(runner.wallMs());
-            timing["peakRssKb"] = exp::JsonValue(tel.peakRssKb);
-            timing["totalEvents"] = exp::JsonValue(tel.totalEvents());
-            timing["eventsPerSec"] = exp::JsonValue(tel.eventsPerSec());
-            exp::JsonValue perJob = exp::JsonValue::array();
-            for (std::size_t i = 0; i < outcomes.size(); ++i) {
-                const auto &o = outcomes[i];
-                exp::JsonValue j = exp::JsonValue::object();
-                j["id"] = exp::JsonValue(o.spec.id());
-                j["wallMs"] = exp::JsonValue(o.wallMs);
-                if (i < tel.jobs.size()) {
-                    j["events"] = exp::JsonValue(tel.jobs[i].events);
-                    j["rssAfterKb"] =
-                        exp::JsonValue(tel.jobs[i].rssAfterKb);
-                }
-                perJob.push(std::move(j));
-            }
-            timing["jobs"] = std::move(perJob);
             std::ofstream os(timingFile);
             if (!os)
                 fatal("cannot write ", timingFile);
