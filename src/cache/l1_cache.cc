@@ -426,9 +426,11 @@ L1Cache::flushLines(const std::vector<Addr> &lines, bool invalidating,
     for (Addr addr : lines) {
         scheduleIn(offset, [this, addr, invalidating] {
             CacheLine *line = _array.find(addr);
-            // The line may have been naturally written back between the
-            // walk snapshot and this issue slot; its incarnation already
-            // moved to the bank, so there is nothing left to do here.
+            // An absent or clean line has nothing to write back now:
+            // either it was naturally written back since the snapshot
+            // (its engine entry moved with it), or its same-epoch fill
+            // or upgrade is still in flight (its entry stays, and the
+            // arbiter walks again until the epoch's bucket is empty).
             if (!line || !line->dirty())
                 return;
             writebackLine(*line, invalidating ? WritebackKind::Eviction

@@ -102,7 +102,7 @@ struct SweepTelemetry
     unsigned workers = 0;
     double wallMs = 0.0;
     std::uint64_t peakRssKb = 0;
-    /** Host shape, mirroring scripts/bench_lib.py's BENCH envelope. */
+    /** Host shape: std::thread::hardware_concurrency(). */
     unsigned hostCpus = 0;
     /** 1-minute load average at the end of the run; < 0 = unknown. */
     double loadAvg1 = -1.0;

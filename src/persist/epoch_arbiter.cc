@@ -418,22 +418,31 @@ EpochArbiter::beginBankPhase(Epoch &e)
         return;
     }
     e.usedHandshake = true;
+    e.bankAcksPending = _pc.numBanks();
+    flushWalk(e.id);
+}
+
+void
+EpochArbiter::flushWalk(EpochId id)
+{
     // Step 1 (§4.1): flush this epoch's L1-resident lines into the LLC.
     // Snapshot (not take): each writeback moves its own engine entry.
-    const std::vector<Addr> lines =
-        _l1->flushEngine().snapshot(_core, e.id);
-    const Tick ready = _l1->flushLines(lines,
+    const Tick ready = _l1->flushLines(_l1->flushEngine().snapshot(_core, id),
                                        _pc.config().invalidatingFlush,
                                        BarrierConfig::kFlushIssueInterval);
     if (trace::probing()) [[unlikely]] {
         trace::span(curTick(), ready, _l1->name(),
-                    "flush walk e" + std::to_string(e.id), "Flush");
+                    "flush walk e" + std::to_string(id), "Flush");
     }
-    // Step 2: broadcast FlushEpoch once the walk has drained.
-    e.bankAcksPending = _pc.numBanks();
-    const EpochId id = e.id;
-    const CoreId core = _core;
-    scheduleIn(ready - curTick(), [this, id, core] {
+    // Step 2: broadcast FlushEpoch once the L1 bucket of the epoch is
+    // empty. A line whose same-epoch fill or upgrade was still in flight
+    // when the walk passed it is not yet writable back; walk again.
+    scheduleIn(ready - curTick(), [this, id] {
+        if (_l1->flushEngine().count(_core, id) != 0) {
+            flushWalk(id);
+            return;
+        }
+        const CoreId core = _core;
         for (unsigned b = 0; b < _pc.numBanks(); ++b) {
             cache::LlcBank *bank = &_pc.bank(b);
             ++_pc.statProtocolMessages;
@@ -563,12 +572,6 @@ EpochArbiter::declarePersisted(Epoch &e)
     for (auto &w : waiters)
         w();
     tryAdvance();
-}
-
-void
-EpochArbiter::addLiveLine(EpochId epoch)
-{
-    ++mustFind(epoch)->linesLive;
 }
 
 void

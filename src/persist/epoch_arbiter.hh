@@ -169,9 +169,6 @@ class EpochArbiter : public SimObject
     // Incarnation accounting (called by PersistController)
     // ------------------------------------------------------------------
 
-    /** A new line incarnation was tagged for @p epoch. */
-    void addLiveLine(EpochId epoch);
-
     /** An incarnation of @p epoch ended without persisting (steal). */
     void removeLiveLine(EpochId epoch);
 
@@ -190,6 +187,8 @@ class EpochArbiter : public SimObject
     void startFlush(Epoch &e);
     void maybeBeginBankPhase(Epoch &e);
     void beginBankPhase(Epoch &e);
+    /** Walk the epoch's L1 lines; FlushEpoch once none is left. */
+    void flushWalk(EpochId id);
     void maybeFinishFlush(Epoch &e);
     void declarePersisted(Epoch &e);
     void splitNow(FlushCause cause, InlineFunction<void(EpochId)> cont);
