@@ -1,8 +1,7 @@
 /**
  * @file
- * Microbenchmarks for the event-kernel hot path: schedule/run and
- * schedule/cancel churn at 1M events, with small and oversized
- * captures, a steady-state run of self-rescheduling chains, plus the
+ * Microbenchmarks for the event-kernel hot path: schedule/run at 1M
+ * events, with small and oversized captures, a steady-state run of self-rescheduling chains, plus the
  * InlineFunction construct/invoke cost in isolation. These are the operations every simulated cycle pays for;
  * `perfbench/run.py --workload bsp-lb` times them end to end.
  */
@@ -95,27 +94,6 @@ BM_ScheduleRun_ArenaCapture(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * kEvents));
 }
 BENCHMARK(BM_ScheduleRun_ArenaCapture)->Unit(benchmark::kMillisecond);
-
-/** Schedule + cancel churn: every second event is cancelled before the
- * drain. Exercises the generation-bit cancel and node recycling. */
-void
-BM_ScheduleCancelRun(benchmark::State &state)
-{
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        EventQueue eq;
-        for (std::uint64_t i = 0; i < kEvents; ++i) {
-            auto id = eq.schedule(i & 1023, [&sink] { ++sink; });
-            if (i & 1)
-                eq.cancel(id);
-        }
-        eq.run();
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kEvents));
-}
-BENCHMARK(BM_ScheduleCancelRun)->Unit(benchmark::kMillisecond);
 
 /** Steady-state self-rescheduling chain (the shape simulation objects
  * actually produce: one event in flight per object). */

@@ -24,8 +24,10 @@ CacheArray::CacheArray(std::string name, const CacheGeometry &geom,
     _sets = geom.sets();
     simAssert(isPowerOfTwo(_sets), _name, ": sets (", _sets,
               ") not a power of two");
+    // Empty lines and tags are all zero bytes (see kNoLine and
+    // CacheLine), so both resizes are plain zero-fills.
     _lines.resize(static_cast<std::size_t>(_sets) * geom.ways);
-    _tags.resize(_lines.size(), kNoLine);
+    _tags.resize(_lines.size());
 }
 
 void
@@ -155,7 +157,7 @@ CacheArray::fill(CacheLine &line, Addr addr, CoherenceState state)
                   static_cast<unsigned>((&line - _lines.data()) /
                                         _geom.ways),
               _name, ": fill into the wrong set");
-    _tags[static_cast<std::size_t>(&line - _lines.data())] = addr;
+    _tags[static_cast<std::size_t>(&line - _lines.data())] = tagOf(addr);
     line.setAddr(addr);
     line.setState(state);
     line.setDirty(false);

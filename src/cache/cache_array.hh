@@ -72,8 +72,9 @@ class CacheArray
         const std::size_t base =
             static_cast<std::size_t>(setIndex(addr)) * _geom.ways;
         const Addr *tags = &_tags[base];
+        const Addr tag = tagOf(addr);
         for (unsigned w = 0; w < _geom.ways; ++w) {
-            if (tags[w] == addr)
+            if (tags[w] == tag)
                 return &_lines[base + w];
         }
         return nullptr;
@@ -158,8 +159,14 @@ class CacheArray
     }
 
   private:
-    /** Tag-array sentinel for an invalid way (never a line-aligned addr). */
-    static constexpr Addr kNoLine = ~static_cast<Addr>(0);
+    /**
+     * Tag-array entry of an invalid way. A valid way stores the
+     * complement of its line address (tagOf), which is never 0, so both
+     * arrays start out as plain zero-filled memory.
+     */
+    static constexpr Addr kNoLine = 0;
+
+    static Addr tagOf(Addr lineAddr) { return ~lineAddr; }
 
     CacheLine *setBase(unsigned set) { return &_lines[set * _geom.ways]; }
 
@@ -168,8 +175,9 @@ class CacheArray
     unsigned _setShift;
     unsigned _sets;
     std::vector<CacheLine> _lines;
-    /** Parallel to _lines: the line address of each valid way, kNoLine
-     * otherwise. find() scans this instead of the metadata records. */
+    /** Parallel to _lines: tagOf(line address) of each valid way,
+     * kNoLine otherwise. find() scans this instead of the metadata
+     * records. */
     std::vector<Addr> _tags;
     /** Wrapping 32-bit LRU clock; victimFor compares stamps with a
      * wrap-aware signed difference, so wraparound (once per ~4G touches)

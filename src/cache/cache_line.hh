@@ -14,6 +14,10 @@
  * epoch-tag core ids narrow to one byte each (the sharers mask already
  * caps the system at 64 cores), and the LRU stamp is a 32-bit wrapping
  * counter whose comparisons are wrap-aware (CacheArray::victimFor).
+ *
+ * An empty record is all zero bytes: the core ids and the epoch id are
+ * stored XORed with their "none" sentinels, so CacheArray builds its
+ * arrays with one zero-fill instead of a per-record constructor loop.
  */
 
 #ifndef PERSIM_CACHE_CACHE_LINE_HH
@@ -38,11 +42,13 @@ enum class CoherenceState : std::uint8_t
 /**
  * Per-line metadata shared by L1 and LLC arrays.
  *
- * Core ids are stored in one byte with 0xFF as the "no core" sentinel;
- * the public accessors translate to/from the CoreId-wide kNoCore. This
- * is sound because the sharers mask below already limits the system to
+ * Core ids are stored in one byte with 0xFF as the "no core" sentinel,
+ * XORed with 0xFF so that "no core" is the zero byte; the public
+ * accessors translate to/from the CoreId-wide kNoCore. This is sound
+ * because the sharers mask below already limits the system to
  * kMaxCores (= 64) cores, which System/PersistController enforce at
- * construction time.
+ * construction time. The epoch id is likewise stored XORed with
+ * kNoEpoch.
  */
 class CacheLine
 {
@@ -95,19 +101,9 @@ class CacheLine
     }
 
     /** LLC only: L1 holding the line Exclusive/Modified, or kNoCore. */
-    CoreId
-    owner() const
-    {
-        return _owner == kNoCore8 ? kNoCore : static_cast<CoreId>(_owner);
-    }
+    CoreId owner() const { return unpackCore(_owner); }
 
-    void
-    setOwner(CoreId core)
-    {
-        // kNoCore (0xFFFF) truncates to the 0xFF sentinel; real core ids
-        // are < kMaxCores and round-trip unchanged.
-        _owner = static_cast<std::uint8_t>(core);
-    }
+    void setOwner(CoreId core) { _owner = packCore(core); }
 
     /** LLC only: bitmask of L1s holding Shared copies. */
     std::uint64_t sharers() const { return _sharers; }
@@ -118,15 +114,10 @@ class CacheLine
      * Persist tag: the core whose unpersisted epoch last wrote the line.
      * kNoCore when the line carries no persist obligation at this level.
      */
-    CoreId
-    epochCore() const
-    {
-        return _epochCore == kNoCore8 ? kNoCore
-                                      : static_cast<CoreId>(_epochCore);
-    }
+    CoreId epochCore() const { return unpackCore(_epochCore); }
 
     /** Persist tag: epoch of last modification; kNoEpoch if untagged. */
-    EpochId epochId() const { return _epochId; }
+    EpochId epochId() const { return _epochId ^ kNoEpoch; }
 
     /** LRU stamp maintained by the array; 32-bit and wrapping. */
     std::uint32_t lruStamp() const { return _lruStamp; }
@@ -136,22 +127,22 @@ class CacheLine
     bool valid() const { return state() != CoherenceState::Invalid; }
 
     /** True when the line carries an unpersisted-epoch obligation. */
-    bool tagged() const { return _epochCore != kNoCore8; }
+    bool tagged() const { return _epochCore != 0; }
 
     /** Clear the persist tag (the incarnation persisted or moved). */
     void
     clearTag()
     {
-        _epochCore = kNoCore8;
-        _epochId = kNoEpoch;
+        _epochCore = 0;
+        _epochId = 0;
     }
 
     /** Set the persist tag for an incarnation written by (core, epoch). */
     void
     setTag(CoreId core, EpochId epoch)
     {
-        _epochCore = static_cast<std::uint8_t>(core);
-        _epochId = epoch;
+        _epochCore = packCore(core);
+        _epochId = epoch ^ kNoEpoch;
     }
 
     /** Reset to Invalid, dropping all metadata (pin included). Lines
@@ -162,7 +153,7 @@ class CacheLine
     {
         _flags = 0;
         clearTag();
-        _owner = kNoCore8;
+        _owner = 0;
         _sharers = 0;
     }
 
@@ -172,6 +163,22 @@ class CacheLine
     static constexpr std::uint8_t kPinnedBit = 0x08;
     static constexpr std::uint8_t kNoCore8 = 0xFF;
 
+    /** kNoCore (0xFFFF) truncates to the 0xFF sentinel, stored as 0;
+     * real core ids are < kMaxCores and round-trip unchanged. */
+    static std::uint8_t
+    packCore(CoreId core)
+    {
+        return static_cast<std::uint8_t>(static_cast<std::uint8_t>(core) ^
+                                         kNoCore8);
+    }
+
+    static CoreId
+    unpackCore(std::uint8_t packed)
+    {
+        return packed == 0 ? kNoCore
+                           : static_cast<CoreId>(packed ^ kNoCore8);
+    }
+
     Addr _addr = 0;
     /**
      * One bit per core: the sharers mask fixes the architectural core
@@ -179,11 +186,11 @@ class CacheLine
      * above unambiguous. Keep in sync with kMaxCores.
      */
     std::uint64_t _sharers = 0;
-    EpochId _epochId = kNoEpoch;
+    EpochId _epochId = 0; // epoch id ^ kNoEpoch
     std::uint32_t _lruStamp = 0;
-    std::uint8_t _epochCore = kNoCore8;
-    std::uint8_t _owner = kNoCore8;
-    std::uint8_t _flags = 0; // state (2 bits) | dirty | pinned
+    std::uint8_t _epochCore = 0; // packCore(core)
+    std::uint8_t _owner = 0;     // packCore(core)
+    std::uint8_t _flags = 0;     // state (2 bits) | dirty | pinned
 };
 
 static_assert(sizeof(std::uint64_t) * 8 == kMaxCores,

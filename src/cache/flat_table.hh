@@ -21,6 +21,9 @@
  *    allocation in steady state, and indices stay valid across the
  *    vector growth that pointers would not survive.
  *
+ * The flush engines, the ordering checker and the workloads' lock
+ * manager use the same two containers for their per-line state.
+ *
  * Both containers are deterministic: iteration order of FlatAddrMap
  * depends only on the insertion/erasure history, never on pointer
  * values, so sweep output stays byte-identical across runs.
@@ -146,21 +149,6 @@ class FlatAddrMap
             if (s.key != kEmptyKey)
                 fn(s.key, s.value);
         }
-    }
-
-    /** Empty the table, keeping its grown capacity for reuse. */
-    void
-    clear()
-    {
-        if (_size == 0)
-            return;
-        for (Slot &s : _slots) {
-            if (s.key != kEmptyKey) {
-                s.key = kEmptyKey;
-                s.value = V{};
-            }
-        }
-        _size = 0;
     }
 
   private:

@@ -87,14 +87,20 @@ LlcBank::handleRequest(Addr addr, bool isWrite, CoreId core)
     }
 }
 
-LlcBank::Txn
-LlcBank::activeTxnFor(Addr addr) const
+const LlcBank::LineEntry &
+LlcBank::activeEntry(Addr addr) const
 {
     const LineEntry *e = _lines.find(addr);
     simAssert(e && !e->txns.empty(), name(),
               ": no active transaction for line 0x", std::hex, addr,
               std::dec);
-    return _txnPool.at(e->txns.head);
+    return *e;
+}
+
+LlcBank::Txn
+LlcBank::activeTxnFor(Addr addr) const
+{
+    return _txnPool.at(activeEntry(addr).txns.head);
 }
 
 void
@@ -181,8 +187,10 @@ LlcBank::proceedStage(Txn txn)
         grantWrite(txn);
         return;
     }
-    auto remaining =
-        std::make_shared<unsigned>(std::popcount(invMask));
+    // The ack count lives in the line's entry: txn is its active
+    // transaction until finish().
+    activeEntry(txn.addr).invsPending =
+        static_cast<std::uint32_t>(std::popcount(invMask));
     const unsigned myNode = _ni.nodeId();
     for (unsigned c = 0; c < kMaxCores; ++c) {
         if (!(invMask & (std::uint64_t{1} << c)))
@@ -190,12 +198,11 @@ LlcBank::proceedStage(Txn txn)
         ++_invsSent;
         L1Cache *sharer = &_pc.l1(static_cast<CoreId>(c));
         _ni.sendControl(
-            sharer->nodeId(), [this, txn, sharer, myNode, remaining] {
-                sharer->handleInvalidate(
-                    txn.addr, myNode, [this, txn, remaining] {
-                        if (--*remaining == 0)
-                            grantWrite(txn);
-                    });
+            sharer->nodeId(), [this, txn, sharer, myNode] {
+                sharer->handleInvalidate(txn.addr, myNode, [this, txn] {
+                    if (--activeEntry(txn.addr).invsPending == 0)
+                        grantWrite(txn);
+                });
             });
     }
 }
@@ -520,7 +527,8 @@ LlcBank::handleFlushEpoch(CoreId core, EpochId epoch)
 {
     prof::ScopedPhase profPhase(prof::Phase::LlcBank);
     ++_flushEpochMsgs;
-    const std::vector<Addr> lines = _flushEngine.takeAll(core, epoch);
+    std::vector<Addr> &lines = _flushWalkLines;
+    _flushEngine.takeAll(core, epoch, lines);
     FlushJob *job = findFlushJob(core, epoch);
     if (!job) {
         _flushJobs.push_back(FlushJob{core, epoch, 0, false});

@@ -7,6 +7,7 @@
 #define PERSIM_CACHE_LLC_BANK_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -164,6 +165,8 @@ class LlcBank : public SimObject
         ListRef txns;
         ListRef waiters;
         std::uint32_t txnCount = 0;
+        /** Invalidation acks the active write still waits for. */
+        std::uint32_t invsPending = 0;
     };
 
     /** Outstanding flush-line acks for one (core, epoch). */
@@ -205,6 +208,16 @@ class LlcBank : public SimObject
 
     FlushJob *findFlushJob(CoreId core, EpochId epoch);
 
+    /** The entry of @p addr, which must have an active transaction. */
+    const LineEntry &activeEntry(Addr addr) const;
+
+    LineEntry &
+    activeEntry(Addr addr)
+    {
+        return const_cast<LineEntry &>(
+            std::as_const(*this).activeEntry(addr));
+    }
+
     unsigned _bankIdx;
     LlcBankConfig _cfg;
     persist::PersistController &_pc;
@@ -226,6 +239,9 @@ class LlcBank : public SimObject
      * a linearly scanned flat vector beats a hash table here.
      */
     std::vector<FlushJob> _flushJobs;
+
+    /** handleFlushEpoch's line list, reused from walk to walk. */
+    std::vector<Addr> _flushWalkLines;
 
     Scalar _requests;
     Scalar _readHits;

@@ -8,9 +8,19 @@
 namespace persim::model
 {
 
-OrderingChecker::OrderingChecker(unsigned numCores, bool keepLog)
-    : _numCores(numCores), _keepLog(keepLog), _nextUnsettled(numCores, 0)
+namespace
 {
+/** Slots per core ring at construction: the paper's in-flight epoch
+ * table holds 8, and settling lags the arbiter by a few more. */
+constexpr std::size_t kInitialRingSlots = 16;
+} // namespace
+
+OrderingChecker::OrderingChecker(unsigned numCores, bool keepLog)
+    : _numCores(numCores), _keepLog(keepLog), _rings(numCores),
+      _pendingByAddr(1024), _blockedOn(numCores, kNotBlocked)
+{
+    for (Ring &ring : _rings)
+        ring.slots.resize(kInitialRingSlots);
 }
 
 void
@@ -21,22 +31,109 @@ OrderingChecker::violation(std::string what)
         _violations.push_back(std::move(what));
 }
 
+void
+OrderingChecker::settledViolation(const char *what, CoreId core,
+                                  EpochId epoch)
+{
+    std::ostringstream os;
+    os << what << " core " << core << " epoch " << epoch
+       << " after it settled";
+    violation(os.str());
+}
+
 bool
 OrderingChecker::isSettled(CoreId core, EpochId epoch) const
 {
-    return epoch < _nextUnsettled[core];
+    return epoch < _rings[core].next;
+}
+
+OrderingChecker::EpochState *
+OrderingChecker::findLive(CoreId core, EpochId epoch)
+{
+    Ring &ring = _rings[core];
+    if (epoch < ring.next || epoch - ring.next >= ring.slots.size())
+        return nullptr;
+    EpochState &st = ring.slots[epoch & (ring.slots.size() - 1)];
+    return st.live ? &st : nullptr;
 }
 
 OrderingChecker::EpochState &
 OrderingChecker::stateFor(CoreId core, EpochId epoch)
 {
-    return _live[key(core, epoch)];
+    Ring &ring = _rings[core];
+    if (epoch - ring.next >= ring.slots.size())
+        grow(ring, epoch);
+    EpochState &st = ring.slots[epoch & (ring.slots.size() - 1)];
+    st.live = true;
+    return st;
+}
+
+void
+OrderingChecker::grow(Ring &ring, EpochId epoch)
+{
+    const std::size_t oldSize = ring.slots.size();
+    std::size_t size = oldSize;
+    while (epoch - ring.next >= size)
+        size *= 2;
+    std::vector<EpochState> slots(size);
+    for (EpochId id = ring.next; id < ring.next + oldSize; ++id) {
+        slots[id & (size - 1)] =
+            std::move(ring.slots[id & (oldSize - 1)]);
+    }
+    ring.slots = std::move(slots);
+}
+
+bool
+OrderingChecker::addPending(CoreId core, EpochId epoch, Addr addr)
+{
+    PendingHead &head = _pendingByAddr.insertOrFind(addr);
+    for (std::uint32_t n = head.head; n != PendingPool::kNil;
+         n = _pendingPool.next(n)) {
+        const PendingLine &line = _pendingPool.at(n);
+        if (line.core == core && line.epoch == epoch)
+            return false;
+    }
+    const std::uint32_t n = _pendingPool.alloc(PendingLine{epoch, core});
+    _pendingPool.setNext(n, head.head);
+    head.head = n;
+    return true;
+}
+
+bool
+OrderingChecker::removePending(CoreId core, EpochId epoch, Addr addr)
+{
+    PendingHead *head = _pendingByAddr.find(addr);
+    if (!head)
+        return false;
+    std::uint32_t prev = PendingPool::kNil;
+    for (std::uint32_t n = head->head; n != PendingPool::kNil;
+         prev = n, n = _pendingPool.next(n)) {
+        const PendingLine &line = _pendingPool.at(n);
+        if (line.core != core || line.epoch != epoch)
+            continue;
+        const std::uint32_t next = _pendingPool.next(n);
+        if (prev == PendingPool::kNil)
+            head->head = next;
+        else
+            _pendingPool.setNext(prev, next);
+        _pendingPool.release(n);
+        if (head->head == PendingPool::kNil)
+            _pendingByAddr.erase(addr);
+        return true;
+    }
+    return false;
 }
 
 void
 OrderingChecker::onStoreTagged(CoreId core, EpochId epoch, Addr addr)
 {
-    stateFor(core, epoch).pending.insert(lineAlign(addr));
+    if (isSettled(core, epoch)) {
+        settledViolation("store tagged into", core, epoch);
+        return;
+    }
+    EpochState &st = stateFor(core, epoch);
+    if (addPending(core, epoch, lineAlign(addr)))
+        ++st.pending;
 }
 
 void
@@ -47,14 +144,15 @@ OrderingChecker::onSteal(CoreId oldCore, EpochId oldEpoch, CoreId newCore,
     addr = lineAlign(addr);
     if (!srcFlushInFlight) {
         // The old incarnation will never persist: waive the line.
-        auto it = _live.find(key(oldCore, oldEpoch));
-        if (it == _live.end() || it->second.pending.erase(addr) == 0) {
+        EpochState *st = findLive(oldCore, oldEpoch);
+        if (!st || !removePending(oldCore, oldEpoch, addr)) {
             std::ostringstream os;
             os << "steal of line 0x" << std::hex << addr << std::dec
                << " that core " << oldCore << " epoch " << oldEpoch
                << " does not own";
             violation(os.str());
         } else {
+            --st->pending;
             trySettle(oldCore);
         }
     }
@@ -68,6 +166,16 @@ OrderingChecker::onDependence(CoreId depCore, EpochId depEpoch,
 {
     if (isSettled(srcCore, srcEpoch))
         return;
+    if (isSettled(depCore, depEpoch)) {
+        // The dependent epoch already persisted in full, before a
+        // source that must precede it.
+        std::ostringstream os;
+        os << "dependence of core " << depCore << " epoch " << depEpoch
+           << " on unsettled core " << srcCore << " epoch " << srcEpoch
+           << " recorded after the dependent epoch settled";
+        violation(os.str());
+        return;
+    }
     ++_dependenceEdges;
     stateFor(depCore, depEpoch).preds.push_back(key(srcCore, srcEpoch));
 }
@@ -92,15 +200,13 @@ OrderingChecker::onPersist(Tick when, Addr addr, CoreId core,
         return; // untagged write (natural eviction, write-through SP):
                 // unordered by design
 
-    auto it = _live.find(key(core, epoch));
-
     if (isLog) {
         // Undo-log rule: old values persist before any new data of the
         // epoch does. Checkpoint lines are exempt (protected by the log).
         const bool isCheckpoint =
             addr >= persist::UndoLog::kCheckpointBase;
-        if (!isCheckpoint && it != _live.end() &&
-            it->second.dataStarted) {
+        const EpochState *st = findLive(core, epoch);
+        if (!isCheckpoint && st && st->dataStarted) {
             std::ostringstream os;
             os << "undo-log write of core " << core << " epoch " << epoch
                << " persisted after the epoch's data began";
@@ -118,7 +224,8 @@ OrderingChecker::onPersist(Tick when, Addr addr, CoreId core,
         violation(os.str());
         return;
     }
-    if (it == _live.end()) {
+    EpochState *st = findLive(core, epoch);
+    if (!st) {
         std::ostringstream os;
         os << "persist of line 0x" << std::hex << addr << std::dec
            << " for unknown epoch (core " << core << ", epoch " << epoch
@@ -126,18 +233,17 @@ OrderingChecker::onPersist(Tick when, Addr addr, CoreId core,
         violation(os.str());
         return;
     }
-    EpochState &st = it->second;
-    st.dataStarted = true;
+    st->dataStarted = true;
 
     // THE invariant (§4.1): every happens-before predecessor is settled.
-    if (_nextUnsettled[core] != epoch) {
+    if (_rings[core].next != epoch) {
         std::ostringstream os;
         os << "line of core " << core << " epoch " << epoch
            << " persisted at tick " << when << " before epoch "
-           << _nextUnsettled[core] << " of the same core settled";
+           << _rings[core].next << " of the same core settled";
         violation(os.str());
     }
-    for (std::uint64_t p : st.preds) {
+    for (std::uint64_t p : st->preds) {
         const CoreId pc = keyCore(p);
         const EpochId pe = keyEpoch(p);
         if (!isSettled(pc, pe)) {
@@ -149,7 +255,9 @@ OrderingChecker::onPersist(Tick when, Addr addr, CoreId core,
         }
     }
 
-    if (st.pending.erase(lineAlign(addr)) == 0) {
+    if (removePending(core, epoch, lineAlign(addr))) {
+        --st->pending;
+    } else {
         std::ostringstream os;
         os << "unexpected persist of line 0x" << std::hex << addr
            << std::dec << " for core " << core << " epoch " << epoch;
@@ -162,11 +270,15 @@ void
 OrderingChecker::onEpochPersisted(CoreId core, EpochId epoch, Tick when)
 {
     (void)when;
+    if (isSettled(core, epoch)) {
+        settledViolation("Persisted declared for", core, epoch);
+        return;
+    }
     EpochState &st = stateFor(core, epoch);
-    if (!st.pending.empty()) {
+    if (st.pending != 0) {
         std::ostringstream os;
         os << "core " << core << " epoch " << epoch
-           << " declared persisted with " << st.pending.size()
+           << " declared persisted with " << st.pending
            << " lines still volatile";
         violation(os.str());
     }
@@ -178,37 +290,36 @@ void
 OrderingChecker::trySettle(CoreId core)
 {
     while (true) {
-        const EpochId e = _nextUnsettled[core];
-        auto it = _live.find(key(core, e));
-        if (it == _live.end())
+        Ring &ring = _rings[core];
+        const EpochId e = ring.next;
+        EpochState &st = ring.slots[e & (ring.slots.size() - 1)];
+        if (!st.live || !st.declared || st.pending != 0)
             return;
-        EpochState &st = it->second;
-        if (!st.declared || !st.pending.empty())
-            return;
-        bool blocked = false;
         for (std::uint64_t p : st.preds) {
-            const CoreId pc = keyCore(p);
-            const EpochId pe = keyEpoch(p);
-            if (!isSettled(pc, pe)) {
-                _waiters[p].push_back(core);
-                blocked = true;
-                break;
+            if (!isSettled(keyCore(p), keyEpoch(p))) {
+                if (_blockedOn[core] == kNotBlocked)
+                    ++_numBlocked;
+                _blockedOn[core] = p;
+                return;
             }
         }
-        if (blocked)
-            return;
-        const std::uint64_t k = key(core, e);
-        _live.erase(it);
-        _nextUnsettled[core] = e + 1;
+        st.preds.clear();
+        st.live = st.declared = st.dataStarted = false;
+        ring.next = e + 1;
         ++_epochsSettled;
-        auto wit = _waiters.find(k);
-        if (wit != _waiters.end()) {
-            std::vector<CoreId> blockedCores = std::move(wit->second);
-            _waiters.erase(wit);
-            for (CoreId c : blockedCores) {
-                if (c != core)
-                    trySettle(c);
-            }
+        if (_numBlocked == 0)
+            continue;
+        // Wake the cores whose next epoch waited on this one. Nothing
+        // above is used past this point: a woken core's settling may
+        // reach back into this core.
+        const std::uint64_t k = key(core, e);
+        for (CoreId c = 0; c < _numCores; ++c) {
+            if (_blockedOn[c] != k)
+                continue;
+            _blockedOn[c] = kNotBlocked;
+            --_numBlocked;
+            if (c != core)
+                trySettle(c);
         }
     }
 }
@@ -216,13 +327,18 @@ OrderingChecker::trySettle(CoreId core)
 void
 OrderingChecker::finalize()
 {
-    for (const auto &[k, st] : _live) {
-        if (!st.pending.empty()) {
-            std::ostringstream os;
-            os << "end of run: core " << keyCore(k) << " epoch "
-               << keyEpoch(k) << " still has " << st.pending.size()
-               << " unpersisted lines";
-            violation(os.str());
+    for (CoreId c = 0; c < _numCores; ++c) {
+        const Ring &ring = _rings[c];
+        const std::size_t size = ring.slots.size();
+        for (EpochId id = ring.next; id < ring.next + size; ++id) {
+            const EpochState &st = ring.slots[id & (size - 1)];
+            if (st.live && st.pending != 0) {
+                std::ostringstream os;
+                os << "end of run: core " << c << " epoch " << id
+                   << " still has " << st.pending
+                   << " unpersisted lines";
+                violation(os.str());
+            }
         }
     }
 }

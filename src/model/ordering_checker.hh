@@ -8,10 +8,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cache/flat_table.hh"
 #include "nvm/nvram.hh"
 #include "persist/epoch_observer.hh"
 #include "sim/types.hh"
@@ -31,8 +30,14 @@ namespace persim::model
  * also checks the undo-logging rule (§5.2.1): an epoch's undo-log
  * writes are durable before any of its data lines.
  *
+ * Every event it observes names an unsettled epoch: a store tagged
+ * into, a dependence recorded onto, or a Persisted declaration of an
+ * epoch that already settled is itself a violation.
+ *
  * Violations are collected, not thrown, so tests can assert on them and
- * benches can report them.
+ * benches can report them. The steady state neither allocates nor
+ * hashes per epoch: unsettled epochs live in per-core rings indexed by
+ * epoch id, and pending lines in one shared flat table.
  */
 class OrderingChecker : public nvm::PersistObserver,
                         public persist::EpochObserver
@@ -88,13 +93,46 @@ class OrderingChecker : public nvm::PersistObserver,
     const std::vector<PersistEvent> &log() const { return _log; }
 
   private:
+    /**
+     * One unsettled epoch: a slot of its core's ring. Slots are reused
+     * as the ring turns over, so preds keeps its capacity.
+     */
     struct EpochState
     {
-        std::unordered_set<Addr> pending; // lines still to persist
         std::vector<std::uint64_t> preds; // cross-core hb predecessors
+        std::uint32_t pending = 0;        // lines still to persist
+        bool live = false;                // some event named the epoch
         bool declared = false;            // arbiter declared Persisted
         bool dataStarted = false;         // first data line durable
     };
+
+    /**
+     * Per core: the unsettled epochs [next, next + slots.size()), at
+     * slot id & (size - 1). Epoch ids are dense per core and settle in
+     * order, so the ring only doubles when one core has more unsettled
+     * epochs than slots.
+     */
+    struct Ring
+    {
+        std::vector<EpochState> slots;
+        EpochId next = 0; // lowest epoch id not yet settled
+    };
+
+    /** One (core, epoch) whose line is pending; chained per address. */
+    struct PendingLine
+    {
+        EpochId epoch = kNoEpoch;
+        CoreId core = kNoCore;
+    };
+    using PendingPool = cache::NodePool<PendingLine>;
+
+    /** Head of an address's chain of pending (core, epoch) owners. */
+    struct PendingHead
+    {
+        std::uint32_t head = PendingPool::kNil;
+    };
+
+    static constexpr std::uint64_t kNotBlocked = ~std::uint64_t{0};
 
     static std::uint64_t
     key(CoreId c, EpochId e)
@@ -111,19 +149,34 @@ class OrderingChecker : public nvm::PersistObserver,
     }
 
     bool isSettled(CoreId core, EpochId epoch) const;
+    /** The live state of an unsettled epoch, or nullptr. */
+    EpochState *findLive(CoreId core, EpochId epoch);
+    /** The state of an unsettled epoch, marked live (ring grows). */
     EpochState &stateFor(CoreId core, EpochId epoch);
+    void grow(Ring &ring, EpochId epoch);
+    /** Add (core, epoch) as an owner of @p addr; false if already one. */
+    bool addPending(CoreId core, EpochId epoch, Addr addr);
+    /** Drop (core, epoch) as an owner of @p addr; false if not one. */
+    bool removePending(CoreId core, EpochId epoch, Addr addr);
+    /** Report a call that names (core, epoch) after it settled. */
+    void settledViolation(const char *what, CoreId core, EpochId epoch);
     void trySettle(CoreId core);
     void violation(std::string what);
 
     unsigned _numCores;
     bool _keepLog;
-    std::unordered_map<std::uint64_t, EpochState> _live;
+    std::vector<Ring> _rings;
 
-    /** Per core: lowest epoch id not yet settled. */
-    std::vector<EpochId> _nextUnsettled;
+    /** Pending lines of every unsettled epoch, chained per address. */
+    cache::FlatAddrMap<PendingHead> _pendingByAddr;
+    PendingPool _pendingPool;
 
-    /** Cores whose settling is blocked on a given epoch. */
-    std::unordered_map<std::uint64_t, std::vector<CoreId>> _waiters;
+    /**
+     * Per core: the predecessor key its next epoch's settling waits
+     * on, or kNotBlocked. A settle wakes every core blocked on it.
+     */
+    std::vector<std::uint64_t> _blockedOn;
+    unsigned _numBlocked = 0;
 
     std::vector<std::string> _violations;
     std::vector<PersistEvent> _log;

@@ -89,10 +89,9 @@ EpochArbiter::barrier(InlineCallback cont)
     Epoch &prefix = _table.closeCurrentAndOpen(curTick());
     refreshCurrent();
     const EpochId prefixId = prefix.id;
-    auto closeWaiters = std::move(prefix.closeWaiters);
+    auto closeWaiters = takeWaiters(prefix.closeWaiters);
     maybeComplete(prefix);
-    for (auto &w : closeWaiters)
-        w();
+    runWaiters(std::move(closeWaiters));
     if (_pc.config().blockingBarrier)
         ensureFlushedUpTo(prefixId, FlushCause::Barrier, std::move(cont));
     else
@@ -117,10 +116,9 @@ EpochArbiter::drain(InlineCallback cont)
         }
         Epoch &prefix = _table.closeCurrentAndOpen(curTick());
         refreshCurrent();
-        auto closeWaiters = std::move(prefix.closeWaiters);
+        auto closeWaiters = takeWaiters(prefix.closeWaiters);
         maybeComplete(prefix);
-        for (auto &w : closeWaiters)
-            w();
+        runWaiters(std::move(closeWaiters));
     }
     if (_table.inflight() <= 1) {
         cont();
@@ -186,10 +184,9 @@ EpochArbiter::splitNow(FlushCause cause,
            _table.current().id);
     if (_pc.observer())
         _pc.observer()->onSplit(_core, prefixId, _table.current().id);
-    auto closeWaiters = std::move(prefix.closeWaiters);
+    auto closeWaiters = takeWaiters(prefix.closeWaiters);
     maybeComplete(prefix);
-    for (auto &w : closeWaiters)
-        w();
+    runWaiters(std::move(closeWaiters));
     cont(prefixId);
 }
 
@@ -427,7 +424,8 @@ EpochArbiter::flushWalk(EpochId id)
 {
     // Step 1 (§4.1): flush this epoch's L1-resident lines into the LLC.
     // Snapshot (not take): each writeback moves its own engine entry.
-    const Tick ready = _l1->flushLines(_l1->flushEngine().snapshot(_core, id),
+    _l1->flushEngine().snapshot(_core, id, _flushWalkLines);
+    const Tick ready = _l1->flushLines(_flushWalkLines,
                                        _pc.config().invalidatingFlush,
                                        BarrierConfig::kFlushIssueInterval);
     if (trace::probing()) [[unlikely]] {
@@ -540,8 +538,10 @@ EpochArbiter::declarePersisted(Epoch &e)
     const EpochId id = e.id;
     const CoreId core = _core;
     const bool handshake = e.usedHandshake;
-    const auto informs = e.informRegs.entries();
-    auto waiters = std::move(e.persistWaiters);
+    // The messages below are only scheduled, so e's inform registers
+    // are still intact when the loop reads them.
+    const std::vector<IdtEntry> &informs = e.informRegs.entries();
+    auto waiters = takeWaiters(e.persistWaiters);
 
     // Step 4 (§4.1): PersistCMP broadcast updates bank-side state.
     if (handshake) {
@@ -569,8 +569,7 @@ EpochArbiter::declarePersisted(Epoch &e)
     // epoch) may recycle e's ring slot; use only the copies above.
     _table.retirePersisted();
     serviceRetireWaiters();
-    for (auto &w : waiters)
-        w();
+    runWaiters(std::move(waiters));
     tryAdvance();
 }
 
@@ -615,6 +614,31 @@ EpochArbiter::debugDump(std::ostream &os)
            << " closeW=" << e.closeWaiters.size() << "]";
     }
     os << "\n";
+}
+
+std::vector<InlineCallback>
+EpochArbiter::takeWaiters(std::vector<InlineCallback> &list)
+{
+    std::vector<InlineCallback> taken;
+    if (list.empty())
+        return taken;
+    if (!_spareWaiters.empty()) {
+        taken.swap(_spareWaiters.back());
+        _spareWaiters.pop_back();
+    }
+    taken.swap(list);
+    return taken;
+}
+
+void
+EpochArbiter::runWaiters(std::vector<InlineCallback> &&waiters)
+{
+    if (waiters.capacity() == 0)
+        return;
+    for (auto &w : waiters)
+        w();
+    waiters.clear();
+    _spareWaiters.push_back(std::move(waiters));
 }
 
 void

@@ -200,6 +200,13 @@ class EpochArbiter : public SimObject
     /** Run retire-waiters blocked on a full window. */
     void serviceRetireWaiters();
 
+    /** Move @p list's continuations out, leaving spare storage in it. */
+    std::vector<InlineCallback>
+    takeWaiters(std::vector<InlineCallback> &list);
+
+    /** Run continuations from takeWaiters(), then keep the storage. */
+    void runWaiters(std::vector<InlineCallback> &&waiters);
+
     PersistController &_pc;
     CoreId _core;
     cache::L1Cache *_l1 = nullptr;
@@ -224,6 +231,16 @@ class EpochArbiter : public SimObject
 
     /** Continuations waiting for a window slot (barrier/split stalls). */
     std::vector<InlineCallback> _retireWaiters;
+
+    /**
+     * Emptied waiter-list storage. takeWaiters() hands one to the list
+     * it empties and runWaiters() returns it, so an epoch slot's waiter
+     * lists keep capacity from one use to the next.
+     */
+    std::vector<std::vector<InlineCallback>> _spareWaiters;
+
+    /** Line list of the L1 flush walk, reused from walk to walk. */
+    std::vector<Addr> _flushWalkLines;
 
     /** Per-core NVRAM log/checkpoint regions. */
     UndoLog _undoLog;

@@ -11,8 +11,8 @@ namespace persim::persist
 std::size_t
 FlushEngine::indexOf(CoreId core, EpochId epoch) const
 {
-    for (std::size_t i = 0; i < _keys.size(); ++i) {
-        if (_keys[i].core == core && _keys[i].epoch == epoch)
+    for (std::size_t i = 0; i < _buckets.size(); ++i) {
+        if (_buckets[i].core == core && _buckets[i].epoch == epoch)
             return i;
     }
     return kNone;
@@ -21,14 +21,10 @@ FlushEngine::indexOf(CoreId core, EpochId epoch) const
 void
 FlushEngine::recycleBucket(std::size_t idx)
 {
-    const std::size_t last = _sets.size() - 1;
-    _spare.push_back(std::move(_sets[idx]));
-    if (idx != last) {
-        _sets[idx] = std::move(_sets[last]);
-        _keys[idx] = _keys[last];
-    }
-    _sets.pop_back();
-    _keys.pop_back();
+    _spare.push_back(std::move(_buckets[idx]));
+    if (idx != _buckets.size() - 1)
+        _buckets[idx] = std::move(_buckets.back());
+    _buckets.pop_back();
 }
 
 void
@@ -39,20 +35,24 @@ FlushEngine::addLine(CoreId core, EpochId epoch, Addr addr)
               ": untagged line added to flush engine");
     std::size_t idx = indexOf(core, epoch);
     if (idx == kNone) {
-        idx = _sets.size();
-        _keys.push_back(BucketKey{core, epoch});
+        idx = _buckets.size();
         if (!_spare.empty()) {
-            _sets.push_back(std::move(_spare.back()));
+            _buckets.push_back(std::move(_spare.back()));
             _spare.pop_back();
         } else {
-            _sets.emplace_back();
+            _buckets.emplace_back();
         }
+        _buckets[idx].core = core;
+        _buckets[idx].epoch = epoch;
     }
-    LineSet &set = _sets[idx];
-    const std::size_t before = set.size();
-    set.insertOrFind(lineAlign(addr));
-    simAssert(set.size() == before + 1, _name, ": line 0x", std::hex, addr,
-              std::dec, " already tracked for core ", core, " epoch ", epoch);
+    Bucket &b = _buckets[idx];
+    addr = lineAlign(addr);
+    const std::size_t before = b.pos.size();
+    b.pos.insertOrFind(addr) = static_cast<std::uint32_t>(b.lines.size());
+    simAssert(b.pos.size() == before + 1, _name, ": line 0x", std::hex,
+              addr, std::dec, " already tracked for core ", core,
+              " epoch ", epoch);
+    b.lines.push_back(addr);
     ++_totalLines;
 }
 
@@ -63,58 +63,74 @@ FlushEngine::removeLine(CoreId core, EpochId epoch, Addr addr)
     const std::size_t idx = indexOf(core, epoch);
     if (idx == kNone)
         return false;
-    const bool erased = _sets[idx].erase(lineAlign(addr));
-    if (erased) {
-        --_totalLines;
-        if (_sets[idx].empty())
-            recycleBucket(idx);
-    }
-    return erased;
+    Bucket &b = _buckets[idx];
+    addr = lineAlign(addr);
+    const std::uint32_t *at = b.pos.find(addr);
+    if (!at)
+        return false;
+    // Swap-remove from the dense vector, re-pointing the moved line.
+    const std::uint32_t i = *at;
+    const Addr last = b.lines.back();
+    b.lines[i] = last;
+    b.lines.pop_back();
+    if (last != addr)
+        *b.pos.find(last) = i;
+    b.pos.erase(addr);
+    --_totalLines;
+    if (b.lines.empty())
+        recycleBucket(idx);
+    return true;
 }
 
 bool
 FlushEngine::hasLine(CoreId core, EpochId epoch, Addr addr) const
 {
     const std::size_t idx = indexOf(core, epoch);
-    return idx != kNone && _sets[idx].find(lineAlign(addr)) != nullptr;
+    return idx != kNone &&
+           _buckets[idx].pos.find(lineAlign(addr)) != nullptr;
 }
 
 std::size_t
 FlushEngine::count(CoreId core, EpochId epoch) const
 {
     const std::size_t idx = indexOf(core, epoch);
-    return idx == kNone ? 0 : _sets[idx].size();
+    return idx == kNone ? 0 : _buckets[idx].lines.size();
 }
 
-std::vector<Addr>
-FlushEngine::takeAll(CoreId core, EpochId epoch)
+void
+FlushEngine::sortedLines(std::size_t idx, std::vector<Addr> &out) const
+{
+    const std::vector<Addr> &lines = _buckets[idx].lines;
+    out.assign(lines.begin(), lines.end());
+    std::sort(out.begin(), out.end());
+}
+
+void
+FlushEngine::takeAll(CoreId core, EpochId epoch, std::vector<Addr> &out)
 {
     prof::ScopedPhase profPhase(prof::Phase::FlushEngine);
-    std::vector<Addr> out;
+    out.clear();
     const std::size_t idx = indexOf(core, epoch);
     if (idx == kNone)
-        return out;
-    out.reserve(_sets[idx].size());
-    _sets[idx].forEach([&out](Addr a, char) { out.push_back(a); });
-    std::sort(out.begin(), out.end());
-    _totalLines -= out.size();
-    _sets[idx].clear();
+        return;
+    sortedLines(idx, out);
+    Bucket &b = _buckets[idx];
+    for (Addr a : b.lines)
+        b.pos.erase(a);
+    _totalLines -= b.lines.size();
+    b.lines.clear();
     recycleBucket(idx);
-    return out;
 }
 
-std::vector<Addr>
-FlushEngine::snapshot(CoreId core, EpochId epoch) const
+void
+FlushEngine::snapshot(CoreId core, EpochId epoch,
+                      std::vector<Addr> &out) const
 {
     prof::ScopedPhase profPhase(prof::Phase::FlushEngine);
-    std::vector<Addr> out;
+    out.clear();
     const std::size_t idx = indexOf(core, epoch);
-    if (idx == kNone)
-        return out;
-    out.reserve(_sets[idx].size());
-    _sets[idx].forEach([&out](Addr a, char) { out.push_back(a); });
-    std::sort(out.begin(), out.end());
-    return out;
+    if (idx != kNone)
+        sortedLines(idx, out);
 }
 
 } // namespace persim::persist

@@ -7,14 +7,15 @@
  * simulator keeps exact per-epoch address sets — functionally what the
  * bitmap accelerates — and models the walk cost as a per-line issue rate.
  *
- * The sets are flat open-addressed tables (cache::FlatAddrMap), not
- * std::unordered_set: every tagged store lands in addLine(), and the
- * node-based set showed up in profiles as malloc/rehash churn. Buckets
- * live in a dense vector keyed by a parallel (core, epoch) array — a
- * handful are live at any time, so a linear key scan beats hashing —
- * and emptied buckets park their grown table in a spare pool, so the
- * per-epoch create/destroy cycle reuses storage instead of
- * re-allocating it.
+ * Each bucket keeps its lines twice: in a dense vector, which the flush
+ * walks copy into the caller's reused buffer without scanning any empty
+ * table slots, and in a flat open-addressed table (cache::FlatAddrMap)
+ * from address to vector position, which serves the per-line
+ * add/remove/lookup of every tagged store. Buckets live in a dense
+ * vector with a linearly scanned (core, epoch) key — a handful are live
+ * at any time, so a scan beats hashing — and emptied buckets park their
+ * storage in a spare pool, so the per-epoch create/destroy cycle reuses
+ * it instead of re-allocating.
  */
 
 #ifndef PERSIM_PERSIST_FLUSH_ENGINE_HH
@@ -61,17 +62,20 @@ class FlushEngine
     std::size_t count(CoreId core, EpochId epoch) const;
 
     /**
-     * Remove and return every line of (core, epoch) (ordered by address
-     * for determinism); used when the bank flush walk starts.
+     * Remove every line of (core, epoch) and put them in @p out,
+     * replacing its contents (ordered by address for determinism); used
+     * when the bank flush walk starts. @p out is the caller's reused
+     * buffer.
      */
-    std::vector<Addr> takeAll(CoreId core, EpochId epoch);
+    void takeAll(CoreId core, EpochId epoch, std::vector<Addr> &out);
 
     /**
-     * Return (without removing) every line of (core, epoch), address-
-     * ordered; the L1 walk uses this because each writeback moves its
-     * own entry to the bank engine.
+     * Put (without removing) every line of (core, epoch) in @p out,
+     * address-ordered; the L1 walk uses this because each writeback
+     * moves its own entry to the bank engine.
      */
-    std::vector<Addr> snapshot(CoreId core, EpochId epoch) const;
+    void snapshot(CoreId core, EpochId epoch,
+                  std::vector<Addr> &out) const;
 
     /** Total lines tracked across all epochs (diagnostics). */
     std::size_t totalLines() const { return _totalLines; }
@@ -79,13 +83,15 @@ class FlushEngine
     const std::string &name() const { return _name; }
 
   private:
-    /** The address set of one (core, epoch); values carry no payload. */
-    using LineSet = cache::FlatAddrMap<char>;
-
-    struct BucketKey
+    /** The lines of one (core, epoch). */
+    struct Bucket
     {
-        CoreId core;
-        EpochId epoch;
+        CoreId core = kNoCore;
+        EpochId epoch = kNoEpoch;
+        /** The bucket's lines, in no particular order. */
+        std::vector<Addr> lines;
+        /** Line address -> its index in lines. */
+        cache::FlatAddrMap<std::uint32_t> pos;
     };
 
     static constexpr std::size_t kNone = ~static_cast<std::size_t>(0);
@@ -93,15 +99,16 @@ class FlushEngine
     /** Index of the (core, epoch) bucket, or kNone. */
     std::size_t indexOf(CoreId core, EpochId epoch) const;
 
-    /** Park bucket @p idx's table in the spare pool (must be empty). */
+    /** Copy bucket @p idx's lines into @p out, address-ordered. */
+    void sortedLines(std::size_t idx, std::vector<Addr> &out) const;
+
+    /** Park bucket @p idx's storage in the spare pool (must be empty). */
     void recycleBucket(std::size_t idx);
 
     std::string _name;
-    /** Parallel arrays: _keys[i] owns the lines in _sets[i]. */
-    std::vector<BucketKey> _keys;
-    std::vector<LineSet> _sets;
-    /** Emptied tables kept for reuse across the epoch lifecycle. */
-    std::vector<LineSet> _spare;
+    std::vector<Bucket> _buckets;
+    /** Emptied buckets kept for reuse across the epoch lifecycle. */
+    std::vector<Bucket> _spare;
     std::size_t _totalLines = 0;
 };
 

@@ -28,13 +28,6 @@ EventQueue::releaseNode(std::uint32_t slot)
 {
     Node &n = node(slot);
     n.cb = Callback();
-    // Invalidate every outstanding handle to this incarnation; skip a
-    // generation on wrap so ids never read as (gen 0, slot 0) == 0.
-    // A fired node was already retired by dispatchNext().
-    if (n.inUse && ++n.gen == 0)
-        n.gen = 1;
-    n.inUse = false;
-    n.cancelled = false;
     n.next = _freeHead;
     _freeHead = slot;
 }
@@ -70,16 +63,9 @@ EventQueue::popCursorSlot()
     return slot;
 }
 
-EventQueue::EventId
-EventQueue::schedule(Tick when, Callback &&cb)
+void
+EventQueue::enqueue(Tick when, std::uint32_t slot)
 {
-    simAssert(when >= _now, "event scheduled in the past: when=", when,
-              " now=", _now);
-    simAssert(static_cast<bool>(cb), "null event callback");
-    const std::uint32_t slot = allocNode();
-    Node &n = node(slot);
-    n.cb = std::move(cb);
-    n.inUse = true;
     // _cursor == _now whenever user code runs, so when >= _cursor and
     // the window test below is a plain subtraction.
     if (when - _cursor < kWheelSlots) {
@@ -89,32 +75,25 @@ EventQueue::schedule(Tick when, Callback &&cb)
         siftUp(_heap.size() - 1);
     }
     ++_numLive;
-    return (static_cast<EventId>(n.gen) << 32) | slot;
-}
-
-EventQueue::EventId
-EventQueue::scheduleIn(Tick delay, Callback &&cb)
-{
-    simAssert(delay <= kTickNever - _now,
-              "scheduleIn overflow: now=", _now, " delay=", delay,
-              " wraps Tick");
-    return schedule(_now + delay, std::move(cb));
 }
 
 void
-EventQueue::cancel(EventId id)
+EventQueue::scheduledInPast(Tick when) const
 {
-    const std::uint32_t slot = static_cast<std::uint32_t>(id);
-    const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= _numNodes)
-        return; // never issued
-    Node &n = node(slot);
-    if (!n.inUse || n.gen != gen || n.cancelled)
-        return; // already fired, cancelled, or recycled: no-op
-    n.cancelled = true;
-    n.cb = Callback(); // release the capture eagerly
-    ++_numCancelled;
-    --_numLive;
+    panic("event scheduled in the past: when=", when, " now=", _now);
+}
+
+void
+EventQueue::nullCallback() const
+{
+    panic("null event callback");
+}
+
+void
+EventQueue::delayOverflow(Tick delay) const
+{
+    panic("scheduleIn overflow: now=", _now, " delay=", delay,
+          " wraps Tick");
 }
 
 // The overflow heap is 4-ary: a wider node halves the tree depth while
@@ -202,21 +181,15 @@ EventQueue::nextOccupiedTick() const
 }
 
 bool
-EventQueue::findNextLive(Tick limit)
+EventQueue::findNext(Tick limit)
 {
     // No drain on entry: every cursor move below drains, and schedule()
     // only sends an event to the heap when it lies beyond the window.
     while (true) {
         const std::size_t pos =
             static_cast<std::size_t>(_cursor) & kWheelMask;
-        while (_slots[pos].head != kNoIndex) {
-            const std::uint32_t slot = _slots[pos].head;
-            if (!node(slot).cancelled)
-                return true;
-            popCursorSlot();
-            releaseNode(slot);
-            --_numCancelled;
-        }
+        if (_slots[pos].head != kNoIndex)
+            return true;
         if (_wheelCount > 0) {
             const Tick next = nextOccupiedTick();
             if (next > limit)
@@ -229,10 +202,10 @@ EventQueue::findNextLive(Tick limit)
         }
         drainOverflow();
     }
-    // Nothing live at tick <= limit. Park the cursor where later
-    // schedules (which satisfy when >= now()) cannot land behind it:
-    // at the limit runUntil() will advance now() to, or back at now()
-    // for an unbounded search over a drained queue.
+    // Nothing at tick <= limit. Park the cursor where later schedules
+    // (which satisfy when >= now()) cannot land behind it: at the limit
+    // runUntil() will advance now() to, or back at now() for an
+    // unbounded search over a drained queue.
     _cursor = limit == kTickNever ? _now : limit;
     drainOverflow();
     return false;
@@ -241,27 +214,22 @@ EventQueue::findNextLive(Tick limit)
 bool
 EventQueue::dispatchNext(Tick limit)
 {
-    if (!findNextLive(limit))
+    if (!findNext(limit))
         return false;
     simAssert(_cursor >= _now, "time went backwards");
     const std::uint32_t slot = popCursorSlot();
-    Node &n = node(slot);
-    // Retire the handle before invoking, so a cancel of this (fired)
-    // event is a no-op; the node itself is recycled only after the
-    // callback returns (or throws), so the callback runs in place.
-    if (++n.gen == 0)
-        n.gen = 1;
-    n.inUse = false;
     --_numLive;
     _now = _cursor;
     ++_executed;
+    // The node is recycled only after the callback returns (or throws),
+    // so the callback runs in place.
     struct Recycle
     {
         EventQueue &q;
         std::uint32_t slot;
         ~Recycle() { q.releaseNode(slot); }
     } recycle{*this, slot};
-    n.cb();
+    node(slot).cb();
     return true;
 }
 

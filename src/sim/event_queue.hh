@@ -15,6 +15,8 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.hh"
@@ -42,23 +44,15 @@ namespace persim
  *
  * Callbacks live in a free-list pool of nodes recycled for the
  * lifetime of the queue. The pool grows in fixed-size chunks, so a
- * node never moves and each callback runs in place. Cancellation
- * flips a bit in the node — O(1), no hashing, no unbounded side
- * table — and each node carries a generation counter so stale
- * handles (fired, cancelled, or recycled events) are rejected without
- * any bookkeeping growth.
+ * node never moves: schedule() builds each closure directly in its
+ * node, and the callback runs in place. Events cannot be cancelled
+ * (no component needs it), so every queued node is live and dispatch
+ * reads nothing but the slot lists before running it.
  */
 class EventQueue
 {
   public:
     using Callback = InlineCallback;
-
-    /**
-     * Handle for cancelling a scheduled event. 0 is never returned.
-     * Encodes (generation << 32 | pool slot); handles are never reused:
-     * the generation advances whenever a node fires or is cancelled.
-     */
-    using EventId = std::uint64_t;
 
     EventQueue() = default;
 
@@ -69,13 +63,33 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
+     * Schedule @p cb to run at absolute tick @p when. A closure is
+     * built directly in its pooled node; a Callback is moved there.
      *
      * @param when Absolute tick; must be >= now().
-     * @param cb Callback executed when the event fires.
-     * @return A handle usable with cancel().
+     * @param cb Callable executed when the event fires.
      */
-    EventId schedule(Tick when, Callback &&cb);
+    template <typename F>
+    void
+    schedule(Tick when, F &&cb)
+    {
+        if (when < _now) [[unlikely]]
+            scheduledInPast(when);
+        constexpr bool isCallback =
+            std::is_same_v<std::decay_t<F>, Callback>;
+        static_assert(!isCallback || !std::is_lvalue_reference_v<F>,
+                      "pass a Callback as an rvalue");
+        if constexpr (isCallback) {
+            if (!cb) [[unlikely]]
+                nullCallback();
+        }
+        const std::uint32_t slot = allocNode();
+        if constexpr (isCallback)
+            node(slot).cb = std::move(cb);
+        else
+            node(slot).cb.emplace(std::forward<F>(cb));
+        enqueue(when, slot);
+    }
 
     /**
      * Schedule @p cb to run @p delay ticks from now.
@@ -84,15 +98,14 @@ class EventQueue
      * would otherwise surface as a confusing "scheduled in the past"
      * panic (or, worse, a silently early event).
      */
-    EventId scheduleIn(Tick delay, Callback &&cb);
-
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * Cancelling an event that already fired (or was already cancelled)
-     * is a no-op; handles are never reused.
-     */
-    void cancel(EventId id);
+    template <typename F>
+    void
+    scheduleIn(Tick delay, F &&cb)
+    {
+        if (delay > kTickNever - _now) [[unlikely]]
+            delayOverflow(delay);
+        schedule(_now + delay, std::forward<F>(cb));
+    }
 
     /**
      * Pop and execute the next event.
@@ -116,10 +129,10 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick limit);
 
-    /** True when no live events remain. */
+    /** True when no events remain. */
     bool empty() const { return _numLive == 0; }
 
-    /** Number of live (non-cancelled) events pending. */
+    /** Number of events pending. */
     std::size_t pending() const { return _numLive; }
 
     /** Total events executed since construction. */
@@ -129,19 +142,11 @@ class EventQueue
     // Pool probes (regression tests and diagnostics)
     // ------------------------------------------------------------------
 
-    /** Cancelled events still occupying a pool node (bounded by the
-     * number of in-flight events; a cancel of a fired/stale handle
-     * leaves no residue at all). */
-    std::size_t pendingCancellations() const { return _numCancelled; }
-
     /** Total nodes ever created (pool high-water mark). */
     std::size_t poolAllocated() const { return _numNodes; }
 
     /** Nodes currently parked on the free list. */
-    std::size_t poolFree() const
-    {
-        return _numNodes - _numLive - _numCancelled;
-    }
+    std::size_t poolFree() const { return _numNodes - _numLive; }
 
     /** Nodes per pool chunk; chunks are never moved or freed, so a
      * node's address is stable for the queue's lifetime. */
@@ -161,11 +166,8 @@ class EventQueue
     struct Node
     {
         Callback cb;
-        std::uint32_t gen = 1; // bumped when the event fires or is freed
         /** Next node of the same wheel slot, or of the free list. */
         std::uint32_t next = kNoIndex;
-        bool inUse = false; // scheduled, and not yet fired or freed
-        bool cancelled = false;
     };
 
     /** Head and tail of one wheel slot's FIFO (kNoIndex when empty). */
@@ -203,6 +205,13 @@ class EventQueue
     /** Return a node to the free list, dropping its callback. */
     void releaseNode(std::uint32_t slot);
 
+    /** Queue the filled node @p slot for tick @p when (>= now()). */
+    void enqueue(Tick when, std::uint32_t slot);
+
+    [[noreturn]] void scheduledInPast(Tick when) const;
+    [[noreturn]] void nullCallback() const;
+    [[noreturn]] void delayOverflow(Tick delay) const;
+
     /** Append @p slot to the wheel slot for tick @p when (in-window). */
     void pushWheel(Tick when, std::uint32_t slot);
 
@@ -217,15 +226,14 @@ class EventQueue
     Tick nextOccupiedTick() const;
 
     /**
-     * Advance the cursor (never past @p limit), skimming cancelled
-     * entries, until its slot's head is live. Returns false if none
-     * exists at tick <= limit; the cursor is then left at @p limit
-     * (or back at now() for an unbounded search) so later schedules
-     * stay ahead of it.
+     * Advance the cursor (never past @p limit) to the next occupied
+     * wheel slot. Returns false if none exists at tick <= limit; the
+     * cursor is then left at @p limit (or back at now() for an
+     * unbounded search) so later schedules stay ahead of it.
      */
-    bool findNextLive(Tick limit);
+    bool findNext(Tick limit);
 
-    /** Run the next live event at tick <= @p limit; false if none. */
+    /** Run the next event at tick <= @p limit; false if none. */
     bool dispatchNext(Tick limit);
 
     void
@@ -247,7 +255,7 @@ class EventQueue
     /** Tick the wheel cursor rests on; == now() whenever user code can
      * run (callbacks or between run calls). */
     Tick _cursor = 0;
-    /** Entries resident in wheel slots (live + not-yet-skimmed). */
+    /** Entries resident in wheel slots. */
     std::size_t _wheelCount = 0;
 
     std::vector<HeapEntry> _heap; // overflow: when - cursor >= kWheelSlots
@@ -256,7 +264,6 @@ class EventQueue
     std::uint32_t _freeHead = kNoIndex;
     std::uint64_t _nextSeq = 1;
     std::size_t _numLive = 0;
-    std::size_t _numCancelled = 0;
     Tick _now = 0;
     std::uint64_t _executed = 0;
 };

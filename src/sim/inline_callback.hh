@@ -145,38 +145,32 @@ class InlineFunction<R(Args...)>
         std::is_trivially_copyable_v<std::decay_t<F>> &&
         std::is_trivially_destructible_v<std::decay_t<F>>;
 
+    /** Callables (other than InlineFunction itself) it can hold. */
+    template <typename F>
+    using Accepts = std::enable_if_t<
+        !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+        std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>;
+
     InlineFunction() noexcept = default;
     InlineFunction(std::nullptr_t) noexcept {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    template <typename F, typename = Accepts<F>>
     InlineFunction(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>) {
-            // A copy-only closure is relocated by copying the whole
-            // buffer, so give its unused tail defined bytes.
-            if constexpr (copyOnly<Fn>)
-                std::memset(_store.buf, 0, kInlineBytes);
-            ::new (static_cast<void *>(_store.buf))
-                Fn(std::forward<F>(f));
-            _invoke = &invokeInline<Fn>;
-            if constexpr (!copyOnly<Fn>)
-                _manage = &manageInline<Fn>;
-        } else {
-            void *p = detail::CallbackArena::allocate(sizeof(Fn));
-            try {
-                ::new (p) Fn(std::forward<F>(f));
-            } catch (...) {
-                detail::CallbackArena::deallocate(p, sizeof(Fn));
-                throw;
-            }
-            _store.heap = p;
-            _invoke = &invokeHeap<Fn>;
-            _manage = &manageHeap<Fn>;
-        }
+        construct(std::forward<F>(f));
+    }
+
+    /**
+     * Replace the held closure with @p f, built directly in this
+     * object's storage (no temporary InlineFunction and no relocation).
+     * The event queue builds every event in its pooled node this way.
+     */
+    template <typename F, typename = Accepts<F>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct(std::forward<F>(f));
     }
 
     /** Construct with a compile-time guarantee of inline storage. */
@@ -227,6 +221,36 @@ class InlineFunction<R(Args...)>
         alignas(std::max_align_t) unsigned char buf[kInlineBytes];
         void *heap;
     };
+
+    /** Build @p f into this (empty) object. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>) {
+            // A copy-only closure is relocated by copying the whole
+            // buffer, so give its unused tail defined bytes.
+            if constexpr (copyOnly<Fn>)
+                std::memset(_store.buf, 0, kInlineBytes);
+            ::new (static_cast<void *>(_store.buf))
+                Fn(std::forward<F>(f));
+            _invoke = &invokeInline<Fn>;
+            if constexpr (!copyOnly<Fn>)
+                _manage = &manageInline<Fn>;
+        } else {
+            void *p = detail::CallbackArena::allocate(sizeof(Fn));
+            try {
+                ::new (p) Fn(std::forward<F>(f));
+            } catch (...) {
+                detail::CallbackArena::deallocate(p, sizeof(Fn));
+                throw;
+            }
+            _store.heap = p;
+            _invoke = &invokeHeap<Fn>;
+            _manage = &manageHeap<Fn>;
+        }
+    }
 
     void
     reset() noexcept

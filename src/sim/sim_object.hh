@@ -50,10 +50,11 @@ class SimObject
 
   protected:
     /** Schedule a member callback @p delay ticks from now. */
-    EventQueue::EventId
-    scheduleIn(Tick delay, EventQueue::Callback &&cb)
+    template <typename F>
+    void
+    scheduleIn(Tick delay, F &&cb)
     {
-        return _eq.scheduleIn(delay, std::move(cb));
+        _eq.scheduleIn(delay, std::forward<F>(cb));
     }
 
   private:

@@ -8,12 +8,14 @@ namespace persim::workload
 bool
 LockManager::tryAcquire(Addr lockAddr, CoreId thread)
 {
-    auto [it, inserted] = _held.try_emplace(lineAlign(lockAddr), thread);
-    if (inserted) {
+    const std::size_t before = _held.size();
+    CoreId &holder = _held.insertOrFind(lineAlign(lockAddr));
+    if (_held.size() != before) {
+        holder = thread;
         ++_acquisitions;
         return true;
     }
-    simAssert(it->second != thread, "recursive lock acquisition");
+    simAssert(holder != thread, "recursive lock acquisition");
     ++_contended;
     return false;
 }
@@ -21,17 +23,18 @@ LockManager::tryAcquire(Addr lockAddr, CoreId thread)
 void
 LockManager::release(Addr lockAddr, CoreId thread)
 {
-    auto it = _held.find(lineAlign(lockAddr));
-    simAssert(it != _held.end() && it->second == thread,
+    const Addr line = lineAlign(lockAddr);
+    const CoreId *holder = _held.find(line);
+    simAssert(holder && *holder == thread,
               "release of a lock not held by thread ", thread);
-    _held.erase(it);
+    _held.erase(line);
 }
 
 CoreId
 LockManager::holder(Addr lockAddr) const
 {
-    auto it = _held.find(lineAlign(lockAddr));
-    return it == _held.end() ? kNoCore : it->second;
+    const CoreId *holder = _held.find(lineAlign(lockAddr));
+    return holder ? *holder : kNoCore;
 }
 
 } // namespace persim::workload

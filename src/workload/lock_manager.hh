@@ -7,8 +7,8 @@
 #define PERSIM_WORKLOAD_LOCK_MANAGER_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "cache/flat_table.hh"
 #include "sim/types.hh"
 
 namespace persim::workload
@@ -42,7 +42,8 @@ class LockManager
     std::uint64_t contendedTries() const { return _contended; }
 
   private:
-    std::unordered_map<Addr, CoreId> _held;
+    /** Lock line -> holding thread; an absent line is free. */
+    cache::FlatAddrMap<CoreId> _held;
     std::uint64_t _acquisitions = 0;
     std::uint64_t _contended = 0;
 };

@@ -82,35 +82,39 @@ MicroBenchmark::next(Tick now)
     while (true) {
         if (_haltEmitted)
             return cpu::MemOp::halt();
-        if (_steps.empty()) {
+        if (_head == _steps.size()) {
             if (_transactions >= _params.opsPerThread) {
                 _haltEmitted = true;
                 return cpu::MemOp::halt();
             }
+            _steps.clear();
+            _head = 0;
             buildTransaction();
             simAssert(!_steps.empty(),
                       "buildTransaction emitted nothing");
         }
-        Step &front = _steps.front();
+        if (_backoff != 0) {
+            // A contended probe backs off before probing again.
+            const std::uint32_t cycles = _backoff;
+            _backoff = 0;
+            return cpu::MemOp::compute(cycles);
+        }
+        Step &front = _steps[_head];
         switch (front.kind) {
-          case Step::Kind::Op: {
-            cpu::MemOp op = front.op;
-            _steps.pop_front();
-            return op;
-          }
+          case Step::Kind::Op:
+            ++_head;
+            return front.op;
           case Step::Kind::LockAcquire:
             // Probe the lock word; onLoadComplete decides the outcome.
             simAssert(!_probeOutstanding, "nested lock probe");
             _probeOutstanding = true;
             return cpu::MemOp::load(front.lock);
-          case Step::Kind::LockRelease: {
-            const Addr lock = front.lock;
-            _steps.pop_front();
-            _locks.release(lock, _params.thread);
-            return cpu::MemOp::store(lock);
-          }
+          case Step::Kind::LockRelease:
+            ++_head;
+            _locks.release(front.lock, _params.thread);
+            return cpu::MemOp::store(front.lock);
           case Step::Kind::TxnDone:
-            _steps.pop_front();
+            ++_head;
             ++_transactions;
             continue;
         }
@@ -123,22 +127,17 @@ MicroBenchmark::onLoadComplete(Addr addr, Tick now)
     (void)now;
     if (!_probeOutstanding)
         return;
-    simAssert(!_steps.empty() &&
-                  _steps.front().kind == Step::Kind::LockAcquire &&
-                  lineAlign(_steps.front().lock) == lineAlign(addr),
+    simAssert(_head < _steps.size() &&
+                  _steps[_head].kind == Step::Kind::LockAcquire &&
+                  lineAlign(_steps[_head].lock) == lineAlign(addr),
               "lock probe completion out of order");
     _probeOutstanding = false;
     if (_locks.tryAcquire(addr, _params.thread)) {
         // Acquired: replace the probe with the CAS store.
-        _steps.front() =
-            Step{Step::Kind::Op, cpu::MemOp::store(addr), 0};
+        _steps[_head] = Step{Step::Kind::Op, cpu::MemOp::store(addr), 0};
     } else {
         // Contended: back off, then probe again.
-        _steps.push_front(Step{
-            Step::Kind::Op,
-            cpu::MemOp::compute(
-                static_cast<std::uint32_t>(20 + _rng.below(80))),
-            0});
+        _backoff = static_cast<std::uint32_t>(20 + _rng.below(80));
     }
 }
 

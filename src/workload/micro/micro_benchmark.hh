@@ -7,8 +7,8 @@
 #define PERSIM_WORKLOAD_MICRO_MICRO_BENCHMARK_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "cpu/workload_iface.hh"
 #include "sim/rng.hh"
@@ -109,7 +109,15 @@ class MicroBenchmark : public cpu::Workload
     MicroParams _params;
     LockManager &_locks;
     Rng _rng;
-    std::deque<Step> _steps;
+    /**
+     * The current transaction's script; _head is the next step. The
+     * vector is cleared (keeping its capacity) when the next
+     * transaction is built.
+     */
+    std::vector<Step> _steps;
+    std::size_t _head = 0;
+    /** Compute cycles to spend before re-probing a contended lock. */
+    std::uint32_t _backoff = 0;
     std::uint64_t _transactions = 0;
     bool _probeOutstanding = false;
     bool _haltEmitted = false;

@@ -16,6 +16,8 @@ RbTree::RbTree(NvHeap &heap, CoreId owner) : _heap(heap), _owner(owner)
 RbTree::~RbTree()
 {
     destroy(_root);
+    for (Node *n : _spareNodes)
+        delete n;
     delete _nil;
 }
 
@@ -91,7 +93,14 @@ RbTree::insert(std::uint64_t key, std::vector<Addr> &path,
             return false;
         x = key < x->key ? x->left : x->right;
     }
-    Node *z = new Node();
+    Node *z;
+    if (_spareNodes.empty()) {
+        z = new Node();
+    } else {
+        z = _spareNodes.back();
+        _spareNodes.pop_back();
+        *z = Node{};
+    }
     z->key = key;
     z->left = z->right = _nil;
     z->parent = y;
@@ -237,7 +246,7 @@ RbTree::erase(std::uint64_t key, std::vector<Addr> &path,
     _touchLog = nullptr;
 
     _heap.free(z->addr, kEntryBytes, _owner);
-    delete z;
+    _spareNodes.push_back(z);
     --_size;
     return true;
 }
@@ -373,8 +382,10 @@ RbTreeBenchmark::buildTransaction()
     if (_state->numThreads > 1 && rng().chance(params().crossFraction))
         slot = static_cast<unsigned>(rng().below(_state->numThreads));
     auto &st = _state->trees[slot];
-    std::vector<Addr> path;
-    std::vector<Addr> touched;
+    std::vector<Addr> &path = _path;
+    std::vector<Addr> &touched = _touched;
+    path.clear();
+    touched.clear();
     const double r = rng().real();
 
     emitLockAcquire(st.lockWord);

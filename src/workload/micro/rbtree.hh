@@ -90,6 +90,8 @@ class RbTree
     Node *_root;
     std::size_t _size = 0;
     std::vector<Addr> *_touchLog = nullptr;
+    /** Erased nodes, reused by the next inserts. */
+    std::vector<Node *> _spareNodes;
 };
 
 /**
@@ -130,6 +132,9 @@ class RbTreeBenchmark : public MicroBenchmark
 
   private:
     std::shared_ptr<RbTreeState> _state;
+    /** buildTransaction's tree walk and write set, reused. */
+    std::vector<Addr> _path;
+    std::vector<Addr> _touched;
 };
 
 } // namespace persim::workload

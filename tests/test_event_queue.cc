@@ -47,25 +47,6 @@ TEST(EventQueue, SameTickIsFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, CancelSuppressesExecution)
-{
-    EventQueue eq;
-    bool ran = false;
-    auto id = eq.schedule(10, [&] { ran = true; });
-    eq.cancel(id);
-    eq.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop)
-{
-    EventQueue eq;
-    eq.cancel(0);
-    eq.cancel(12345);
-    EXPECT_TRUE(eq.empty());
-}
-
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
@@ -123,74 +104,60 @@ TEST(EventQueue, MaxEventsBound)
 }
 
 // ---------------------------------------------------------------------
-// Pooled nodes, generation-bit cancellation, overflow guard
+// Pooled nodes, overflow guard
 // ---------------------------------------------------------------------
 
-TEST(EventQueue, CancelAfterFireLeavesNoResidue)
+TEST(EventQueue, FiredNodeLeavesNoResidue)
 {
-    // Regression: cancelling an already-fired (or repeatedly cancelled)
-    // id used to park the id in a side table forever; the set grew
-    // monotonically over a long run. Now a stale handle is rejected by
-    // its generation check and leaves no bookkeeping behind.
+    // A fired event's node goes straight back to the free list, and
+    // the next schedule reuses it.
     EventQueue eq;
-    auto id = eq.schedule(10, [] {});
+    eq.schedule(10, [] {});
     eq.run();
-    for (int i = 0; i < 100; ++i)
-        eq.cancel(id); // fired: every cancel is a pure no-op
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
     EXPECT_EQ(eq.poolAllocated(), 1u);
     EXPECT_EQ(eq.poolFree(), 1u);
-
-    auto id2 = eq.schedule(20, [] {});
-    eq.cancel(id2);
-    for (int i = 0; i < 100; ++i)
-        eq.cancel(id2); // duplicate cancels of a cancelled id: no-ops
-    EXPECT_EQ(eq.pendingCancellations(), 1u);
+    eq.schedule(20, [] {});
+    EXPECT_EQ(eq.poolFree(), 0u);
     eq.run();
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
     EXPECT_EQ(eq.poolAllocated(), 1u); // the node was recycled, not leaked
+    EXPECT_EQ(eq.poolFree(), 1u);
 }
 
 TEST(EventQueue, PoolNodesAreRecycled)
 {
     EventQueue eq;
+    int ran = 0;
     for (int i = 0; i < 1000; ++i) {
-        auto keep = eq.scheduleIn(1, [] {});
-        auto drop = eq.scheduleIn(1, [] {});
-        eq.cancel(drop);
+        eq.scheduleIn(1, [&ran] { ++ran; });
+        eq.scheduleIn(1, [&ran] { ++ran; });
         eq.run();
-        (void)keep;
     }
     // Two events in flight at a time: the pool never needs more nodes.
+    EXPECT_EQ(ran, 2000);
     EXPECT_EQ(eq.poolAllocated(), 2u);
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
+    EXPECT_EQ(eq.poolFree(), 2u);
 }
 
-TEST(EventQueue, StaleHandleCannotCancelARecycledNode)
+TEST(EventQueue, FiredCaptureIsReleasedOnRecycle)
 {
-    EventQueue eq;
-    auto id1 = eq.schedule(10, [] {});
-    eq.run();
-    bool ran = false;
-    auto id2 = eq.schedule(20, [&] { ran = true; });
-    EXPECT_NE(id1, id2); // same pool slot, new generation
-    eq.cancel(id1);      // stale: must not hit the new occupant
-    eq.run();
-    EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, CancelledCaptureIsReleasedEagerly)
-{
-    // Cancelling drops the callback (and anything it owns) immediately,
-    // without waiting for the node to surface at the heap top.
+    // The node drops its closure (and anything it owns) as soon as the
+    // callback returns, not when the node is next reused.
     EventQueue eq;
     auto token = std::make_shared<int>(42);
     std::weak_ptr<int> watch = token;
-    auto id = eq.schedule(10, [token = std::move(token)] { (void)*token; });
+    int seen = 0;
+    eq.schedule(10, [token = std::move(token), &seen] { seen = *token; });
     EXPECT_FALSE(watch.expired());
-    eq.cancel(id);
-    EXPECT_TRUE(watch.expired());
     eq.run();
+    EXPECT_EQ(seen, 42);
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, NullCallbackPanics)
+{
+    EventQueue eq;
+    EXPECT_THROW(eq.schedule(10, EventQueue::Callback()), SimPanic);
+    EXPECT_EQ(eq.poolAllocated(), 0u);
 }
 
 TEST(EventQueue, ScheduleInOverflowPanics)
@@ -199,8 +166,8 @@ TEST(EventQueue, ScheduleInOverflowPanics)
     eq.runUntil(100); // now() == 100
     EXPECT_THROW(eq.scheduleIn(kTickNever - 50, [] {}), SimPanic);
     // The boundary case still fits: now + delay == kTickNever.
-    auto id = eq.scheduleIn(kTickNever - 100, [] {});
-    eq.cancel(id);
+    eq.scheduleIn(kTickNever - 100, [] {});
+    EXPECT_EQ(eq.pending(), 1u);
 }
 
 TEST(EventQueue, ExecutedCounterCounts)
@@ -255,27 +222,6 @@ TEST(EventQueue, CallbackGrowingThePoolKeepsItsCaptures)
             << prev.first;
     }
     EXPECT_EQ(fired.front(), (std::pair<Tick, std::size_t>{5, 0}));
-    EXPECT_EQ(eq.poolFree(), eq.poolAllocated());
-}
-
-TEST(EventQueue, CancellingTheRunningEventIsANoop)
-{
-    EventQueue eq;
-    EventQueue::EventId self = 0;
-    int ran = 0;
-    bool laterRan = false;
-    self = eq.schedule(10, [&] {
-        ++ran;
-        eq.cancel(self); // already fired: must not touch the node
-        eq.scheduleIn(3, [&] { laterRan = true; });
-        eq.cancel(self); // still a no-op with a new event in flight
-    });
-    eq.run();
-    EXPECT_EQ(ran, 1);
-    EXPECT_TRUE(laterRan);
-    EXPECT_EQ(eq.now(), 13u);
-    EXPECT_EQ(eq.executed(), 2u);
-    EXPECT_EQ(eq.pendingCancellations(), 0u);
     EXPECT_EQ(eq.poolFree(), eq.poolAllocated());
 }
 

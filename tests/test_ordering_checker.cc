@@ -183,4 +183,115 @@ TEST(OrderingChecker, SettlingCascadesAcrossCores)
     EXPECT_EQ(chk.dependenceEdges(), 1u);
 }
 
+// ---------------------------------------------------------------------
+// Calls that name an already-settled epoch
+// ---------------------------------------------------------------------
+
+/** Settle core 0's epoch 0 (one line, persisted and declared). */
+void
+settleCore0Epoch0(OrderingChecker &chk)
+{
+    chk.onStoreTagged(0, 0, 0x100);
+    chk.onPersist(10, 0x100, 0, 0, false);
+    chk.onEpochPersisted(0, 0, 11);
+    ASSERT_EQ(chk.epochsSettled(), 1u);
+    ASSERT_TRUE(chk.violations().empty());
+}
+
+TEST(OrderingChecker, StoreTaggedIntoSettledEpochFlagged)
+{
+    OrderingChecker chk(1);
+    settleCore0Epoch0(chk);
+    chk.onStoreTagged(0, 0, 0x140);
+    ASSERT_EQ(chk.violations().size(), 1u);
+    EXPECT_EQ(chk.violations()[0],
+              "store tagged into core 0 epoch 0 after it settled");
+    // The late line is not tracked: finalize finds nothing pending.
+    chk.finalize();
+    EXPECT_EQ(chk.violations().size(), 1u);
+}
+
+TEST(OrderingChecker, DependenceOntoSettledEpochFlagged)
+{
+    // core 0 epoch 0 settled, yet it is recorded to depend on core 1
+    // epoch 0, which has not: the dependent persisted before its source.
+    OrderingChecker chk(2);
+    chk.onStoreTagged(1, 0, 0x200);
+    settleCore0Epoch0(chk);
+    chk.onDependence(0, 0, 1, 0);
+    ASSERT_EQ(chk.violations().size(), 1u);
+    EXPECT_EQ(chk.violations()[0],
+              "dependence of core 0 epoch 0 on unsettled core 1 epoch 0 "
+              "recorded after the dependent epoch settled");
+    EXPECT_EQ(chk.dependenceEdges(), 0u);
+}
+
+TEST(OrderingChecker, DependenceOnSettledSourceIsNotAViolation)
+{
+    // Both endpoints settled (or just the source): the order held.
+    OrderingChecker chk(2);
+    settleCore0Epoch0(chk);
+    chk.onStoreTagged(1, 0, 0x200);
+    chk.onDependence(1, 0, 0, 0);
+    chk.onDependence(0, 0, 0, 0);
+    EXPECT_TRUE(chk.violations().empty());
+    EXPECT_EQ(chk.dependenceEdges(), 0u);
+}
+
+TEST(OrderingChecker, PersistedDeclaredTwiceFlagged)
+{
+    OrderingChecker chk(1);
+    settleCore0Epoch0(chk);
+    chk.onEpochPersisted(0, 0, 20);
+    ASSERT_EQ(chk.violations().size(), 1u);
+    EXPECT_EQ(chk.violations()[0],
+              "Persisted declared for core 0 epoch 0 after it settled");
+    EXPECT_EQ(chk.epochsSettled(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Epoch rings and the shared pending-line table
+// ---------------------------------------------------------------------
+
+TEST(OrderingChecker, RingGrowsPastItsInitialSlots)
+{
+    // 100 unsettled epochs on one core (more than the ring starts
+    // with), settled out of declaration order.
+    OrderingChecker chk(1);
+    for (EpochId e = 0; e < 100; ++e)
+        chk.onStoreTagged(0, e, 0x1000 + e * 0x40);
+    for (EpochId e = 100; e-- > 0;) {
+        chk.onPersist(e, 0x1000 + e * 0x40, 0, e, false);
+        chk.onEpochPersisted(0, e, e);
+    }
+    chk.finalize();
+    // Every epoch but 0 persisted a line before its predecessor settled.
+    EXPECT_EQ(chk.violations().size(), 99u);
+    EXPECT_EQ(chk.epochsSettled(), 100u);
+}
+
+TEST(OrderingChecker, SameLinePendingInSeveralEpochs)
+{
+    // One address owed by two epochs of one core and one of another
+    // (an in-flight flush keeps the old incarnation's obligation).
+    OrderingChecker chk(2);
+    chk.onStoreTagged(0, 0, 0x100);
+    chk.onStoreTagged(0, 1, 0x100);
+    chk.onStoreTagged(1, 0, 0x100);
+    chk.onStoreTagged(0, 0, 0x100); // re-tag: still one obligation
+    chk.onPersist(10, 0x100, 0, 0, false);
+    chk.onEpochPersisted(0, 0, 11);
+    chk.onPersist(20, 0x100, 1, 0, false);
+    chk.onEpochPersisted(1, 0, 21);
+    chk.onEpochPersisted(0, 1, 22); // its line is still volatile
+    chk.finalize();
+    ASSERT_EQ(chk.violations().size(), 2u);
+    EXPECT_EQ(chk.violations()[0],
+              "core 0 epoch 1 declared persisted with 1 lines still "
+              "volatile");
+    EXPECT_EQ(chk.violations()[1],
+              "end of run: core 0 epoch 1 still has 1 unpersisted lines");
+    EXPECT_EQ(chk.epochsSettled(), 2u);
+}
+
 } // namespace persim::model

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "persist/epoch_table.hh"
 #include "persist/flush_engine.hh"
 #include "persist/idt_registers.hh"
@@ -130,13 +132,16 @@ TEST(FlushEngine, TakeAllIsSortedAndEmpties)
     fe.addLine(3, 7, 0x300);
     fe.addLine(3, 7, 0x100);
     fe.addLine(3, 7, 0x200);
-    auto lines = fe.takeAll(3, 7);
+    std::vector<Addr> lines{0x999};
+    fe.takeAll(3, 7, lines);
     ASSERT_EQ(lines.size(), 3u);
     EXPECT_EQ(lines[0], 0x100u);
     EXPECT_EQ(lines[1], 0x200u);
     EXPECT_EQ(lines[2], 0x300u);
     EXPECT_EQ(fe.count(3, 7), 0u);
-    EXPECT_TRUE(fe.takeAll(3, 7).empty());
+    EXPECT_EQ(fe.totalLines(), 0u);
+    fe.takeAll(3, 7, lines);
+    EXPECT_TRUE(lines.empty());
 }
 
 TEST(FlushEngine, SnapshotDoesNotRemove)
@@ -144,10 +149,36 @@ TEST(FlushEngine, SnapshotDoesNotRemove)
     FlushEngine fe("fe");
     fe.addLine(3, 7, 0x300);
     fe.addLine(3, 7, 0x100);
-    auto lines = fe.snapshot(3, 7);
+    std::vector<Addr> lines;
+    fe.snapshot(3, 7, lines);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[0], 0x100u);
     EXPECT_EQ(fe.count(3, 7), 2u);
+}
+
+TEST(FlushEngine, WalksSeeOnlyTheBucketsOwnLines)
+{
+    // Grow a bucket, drain it, then reuse its storage for a small one:
+    // the walk must list exactly the new bucket's lines, and removing
+    // a line from the middle keeps the rest findable.
+    FlushEngine fe("fe");
+    for (Addr a = 0; a < 500; ++a)
+        fe.addLine(1, 1, a * 64);
+    std::vector<Addr> lines;
+    fe.takeAll(1, 1, lines);
+    EXPECT_EQ(lines.size(), 500u);
+    fe.addLine(2, 9, 0x300);
+    fe.addLine(2, 9, 0x100);
+    fe.addLine(2, 9, 0x200);
+    EXPECT_TRUE(fe.removeLine(2, 9, 0x300));
+    EXPECT_TRUE(fe.hasLine(2, 9, 0x100));
+    EXPECT_TRUE(fe.hasLine(2, 9, 0x200));
+    fe.snapshot(2, 9, lines);
+    EXPECT_EQ(lines, (std::vector<Addr>{0x100, 0x200}));
+    EXPECT_TRUE(fe.removeLine(2, 9, 0x100));
+    EXPECT_TRUE(fe.removeLine(2, 9, 0x200));
+    EXPECT_EQ(fe.count(2, 9), 0u);
+    EXPECT_EQ(fe.totalLines(), 0u);
 }
 
 TEST(UndoLog, RegionsAreDisjointPerCore)
