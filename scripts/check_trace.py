@@ -3,7 +3,8 @@
 
   check_trace.py trace FILE [--require-counter N]... [--require-span P]...
       Validate a Chrome trace-event JSON file written by persim_sweep:
-      valid JSON with a traceEvents array; stack-matched B/E pairs per
+      valid JSON with a traceEvents array; only M, B, E, X and C
+      events (spans, counters, metadata); stack-matched B/E pairs per
       (pid, tid) lane; timestamps non-decreasing per lane and strictly
       increasing per counter track (pid, name); every C event has a
       non-empty all-numeric args object (Perfetto drops anything else);
@@ -57,6 +58,9 @@ def check(path, require_counters, require_spans):
 
     for i, ev in enumerate(events):
         ph = ev.get("ph")
+        if ph not in ("M", "B", "E", "X", "C"):
+            errors.append(f"event {i}: unexpected ph {ph!r}: {ev}")
+            continue
         if ph == "M":
             continue
         key = (ev.get("pid"), ev.get("tid"))
@@ -65,7 +69,7 @@ def check(path, require_counters, require_spans):
             errors.append(f"event {i}: missing/invalid ts: {ev}")
             continue
 
-        if ph in ("B", "E", "X", "i"):
+        if ph in ("B", "E", "X"):
             last = lane_ts.get(key)
             if last is not None and ts < last:
                 errors.append(

@@ -306,9 +306,6 @@ L1Cache::writebackLine(CacheLine &line, WritebackKind kind)
     // the inclusion probe and acceptWriteback() hit it.
     bank.array().prefetchSet(addr);
 
-    tracef("WB", *this, "writeback 0x", std::hex, addr, std::dec,
-           " kind=", int(kind), " dirty=", dirty, " tagged=",
-           line.tagged());
     // Charge mesh bandwidth; state transfers synchronously below.
     if (dirty) {
         ++_writebacksDirty;
@@ -362,8 +359,6 @@ L1Cache::handleDowngrade(Addr addr, bool forWrite, unsigned bankNode,
                 replyAtBank = std::move(replyAtBank)]() mutable {
         CacheLine *line = _array.find(addr);
         bool hadDirty = false;
-        tracef("WB", *this, "downgrade 0x", std::hex, addr, std::dec,
-               " present=", line != nullptr, " forWrite=", forWrite);
         if (line) {
             ++_downgrades;
             hadDirty = line->dirty();

@@ -9,7 +9,6 @@
 #include "persist/persist_controller.hh"
 #include "prof/phase.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace persim::cache
 {
@@ -220,8 +219,6 @@ LlcBank::grantWrite(Txn txn)
         return;
     }
     ++_writeHits;
-    tracef("Evict", *this, "grantWrite 0x", std::hex, txn.addr,
-           std::dec, " to core ", txn.core);
     persist::IdtEntry tag =
         _pc.onBankGrantWrite(_bankIdx, txn.core, *line);
     line->setOwner(txn.core);
@@ -314,8 +311,6 @@ LlcBank::fillAndGrant(Txn txn, CacheLine *way)
 {
     prof::ScopedPhase profPhase(prof::Phase::LlcBank);
     simAssert(!way->valid(), name(), ": fill way got claimed");
-    tracef("Evict", *this, "fill 0x", std::hex, txn.addr, std::dec,
-           " for core ", txn.core);
     _array.fill(*way, txn.addr, CoherenceState::Shared);
     way->setPinned(true);
     if (txn.isWrite)
@@ -402,9 +397,6 @@ LlcBank::evictVictim(Addr vaddr, InlineCallback cont)
     CacheLine *line = _array.find(vaddr);
     simAssert(line && line->pinned(), name(),
               ": eviction lost its victim");
-    tracef("Evict", *this, "evictVictim 0x", std::hex, vaddr, std::dec,
-           " owner=", line->owner(), " sharers=", line->sharers(),
-           " tagged=", line->tagged(), " dirty=", line->dirty());
 
     if (line->owner() != kNoCore) {
         ++_recalls;
@@ -470,7 +462,6 @@ LlcBank::evictVictim(Addr vaddr, InlineCallback cont)
             mc->handleWrite(std::move(req));
         });
     }
-    tracef("Evict", *this, "drop 0x", std::hex, vaddr, std::dec);
     _array.invalidate(*line);
     // Wake requests that blocked on the pinned victim.
     drainPinWaiters(vaddr);

@@ -224,10 +224,10 @@ struct RunnerOptions
     bool progress = true;
 
     /**
-     * When non-empty: capture this trace-flag set ("Epoch,Flush" or
-     * "all") for the job whose spec id matches traceJobId (or the first
-     * job when traceJobId is empty). Recorded events are available from
-     * recorder() after run().
+     * When non-empty: capture these span categories ("Epoch,Flush" or
+     * "all"; see trace::kCategories) for the job whose spec id matches
+     * traceJobId (or the first job when traceJobId is empty). Recorded
+     * spans and counters are available from recorder() after run().
      */
     std::string traceFlags;
     std::string traceJobId;

@@ -13,8 +13,9 @@ namespace
 
 /**
  * Sort priority for events sharing a timestamp: ends close before
- * instants/counters, begins open last, so back-to-back spans on one
- * lane (end tick == next begin tick) keep a legal B/E nesting.
+ * zero-length spans and counters, begins open last, so back-to-back
+ * spans on one lane (end tick == next begin tick) keep a legal B/E
+ * nesting.
  */
 enum : int
 {
@@ -50,32 +51,12 @@ void
 writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
                  const std::string &processName)
 {
-    const std::vector<trace::Record> &records = rec.records();
     const std::vector<trace::Span> &spans = rec.spans();
     const std::vector<trace::Counter> &counters = rec.counters();
     JsonValue doc = JsonValue::object();
     JsonValue events = JsonValue::array();
 
     events.push(metaEvent("process_name", 0, processName));
-
-    // Stable track ids in order of first appearance.
-    std::map<std::string, unsigned> tids;
-    auto tidFor = [&](const std::string &who) {
-        auto it = tids.find(who);
-        if (it != tids.end())
-            return it->second;
-        const unsigned tid = static_cast<unsigned>(tids.size());
-        tids.emplace(who, tid);
-        return tid;
-    };
-
-    std::vector<trace::Record> sortedRecords = records;
-    // Recorder appends in simulation order, but make the contract
-    // explicit: Chrome traces want non-decreasing timestamps.
-    std::stable_sort(sortedRecords.begin(), sortedRecords.end(),
-                     [](const trace::Record &a, const trace::Record &b) {
-                         return a.tick < b.tick;
-                     });
 
     // Spans are recorded at close time, so recorder order is by end
     // tick; lane allocation needs begin order.
@@ -112,33 +93,15 @@ writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
                           : s.track + " #" + std::to_string(lane + 1);
     }
 
-    // Assign tids: instant-record tracks first (matching the legacy
-    // exporter), then span lanes in begin order.
-    for (const trace::Record &r : sortedRecords)
-        tidFor(r.who);
+    // Track ids: span lanes in begin order of their first span.
+    std::map<std::string, unsigned> tids;
     for (const std::string &lane : spanLane)
-        tidFor(lane);
-    for (const auto &[who, tid] : tids)
-        events.push(metaEvent("thread_name", tid, who));
+        tids.emplace(lane, static_cast<unsigned>(tids.size()));
+    for (const auto &[lane, tid] : tids)
+        events.push(metaEvent("thread_name", tid, lane));
 
     std::vector<PendingEvent> pending;
-    pending.reserve(sortedRecords.size() + 2 * sortedSpans.size() +
-                    counters.size());
-
-    for (const trace::Record &r : sortedRecords) {
-        JsonValue ev = JsonValue::object();
-        ev["name"] = JsonValue(r.flag);
-        ev["cat"] = JsonValue(r.flag);
-        ev["ph"] = JsonValue("i"); // instant
-        ev["s"] = JsonValue("t");  // thread-scoped
-        ev["ts"] = JsonValue(r.tick);
-        ev["pid"] = JsonValue(0u);
-        ev["tid"] = JsonValue(tids[r.who]);
-        JsonValue args = JsonValue::object();
-        args["msg"] = JsonValue(r.message);
-        ev["args"] = std::move(args);
-        pending.push_back({r.tick, kPrioPoint, std::move(ev)});
-    }
+    pending.reserve(2 * sortedSpans.size() + counters.size());
 
     for (std::size_t i = 0; i < sortedSpans.size(); ++i) {
         const trace::Span &s = sortedSpans[i];

@@ -8,13 +8,14 @@
  * ("persist.arbiter[3]", "l1[0]", ...) becomes its own named track;
  * ticks render as microseconds, so 1 us on the timeline = 1 core cycle.
  *
- * Three event classes are emitted:
- *  - instant events (ph:"i") for plain tracef records;
+ * Two event classes are emitted:
  *  - duration spans (ph:"B"/"E", or ph:"X" when zero-length) for epoch
- *    lifecycles, flush drains, MSHR busy episodes, core execution, and
- *    NVM write-queue residency — Chrome requires B/E to nest per track,
- *    so overlapping spans of one component (concurrent epochs!) are
- *    splayed onto greedily-allocated lanes ("persist.arbiter[0]",
+ *    lifecycles, flush drains, MSHR busy episodes, core execution, NVM
+ *    write-queue residency and persist conflicts (an intra-thread
+ *    conflict's wait; an inter-thread conflict's detection, zero
+ *    length). Chrome requires B/E to nest per track, so overlapping
+ *    spans of one component (concurrent epochs!) are splayed onto
+ *    greedily-allocated lanes ("persist.arbiter[0]",
  *    "persist.arbiter[0] #2", ...); the lanes sit side by side and the
  *    overlap reads directly off the UI;
  *  - counter tracks (ph:"C") for the interval-stat samples (IPC,
@@ -34,8 +35,8 @@ namespace persim::exp
 {
 
 /**
- * Write everything captured by @p rec (instants, duration spans,
- * counter samples) as a complete Chrome trace-event JSON document.
+ * Write everything captured by @p rec (duration spans, counter
+ * samples) as a complete Chrome trace-event JSON document.
  *
  * @param processName Shown as the process label in the UI (use the
  *                    job id, e.g. "fig11/hash/LB++").

@@ -35,7 +35,7 @@ namespace persim::model
  * epoch that already settled is itself a violation.
  *
  * Violations are collected, not thrown, so tests can assert on them and
- * benches can report them. The steady state neither allocates nor
+ * sweeps can report them. The steady state neither allocates nor
  * hashes per epoch: unsettled epochs live in per-core rings indexed by
  * epoch id, and pending lines in one shared flat table.
  */

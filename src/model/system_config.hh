@@ -76,7 +76,7 @@ struct SystemConfig
     /** Sanity-check parameter combinations; throws SimFatal. */
     void validate() const;
 
-    /** Human-readable parameter echo (bench headers). */
+    /** Human-readable parameter echo (persim_cli, quickstart). */
     std::string describe() const;
 };
 

@@ -180,8 +180,6 @@ EpochArbiter::splitNow(FlushCause cause,
     refreshCurrent();
     ++statSplits;
     const EpochId prefixId = prefix.id;
-    tracef("Epoch", *this, "split: prefix ", prefixId, ", remainder ",
-           _table.current().id);
     if (_pc.observer())
         _pc.observer()->onSplit(_core, prefixId, _table.current().id);
     auto closeWaiters = takeWaiters(prefix.closeWaiters);
@@ -337,9 +335,6 @@ EpochArbiter::startFlush(Epoch &e)
     e.flushStartTick = curTick();
     if (e.flushCause == FlushCause::None)
         e.flushCause = FlushCause::Proactive;
-    tracef("Flush", *this, "flush of epoch ", e.id, " starts (",
-           e.linesLive, " lines, cause ",
-           static_cast<int>(e.flushCause), ")");
     switch (e.flushCause) {
       case FlushCause::IntraThread:
         ++statFlushIntra;
@@ -519,7 +514,6 @@ EpochArbiter::declarePersisted(Epoch &e)
     simAssert(e.linesLive == 0 && e.flushesInFlight == 0, name(),
               ": epoch declared persisted with live lines");
     e.state = EpochState::Persisted;
-    tracef("Flush", *this, "epoch ", e.id, " persisted");
     ++statEpochsPersisted;
     if (e.conflicted)
         ++statEpochsConflicted;

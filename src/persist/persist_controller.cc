@@ -125,8 +125,6 @@ PersistController::resolveL1StoreConflict(CoreId core, Addr addr,
     }
     // Intra-thread conflict (§3.2): epochs up to the line's must persist
     // before this store may overwrite the value.
-    tracef("Conflict", *this, "intra-thread: core ", core, " store to 0x",
-           std::hex, addr, std::dec, " hits epoch ", old);
     ++statIntraConflicts;
     ++statOnlineFlushWaits;
     const Tick began = curTick();
@@ -134,6 +132,12 @@ PersistController::resolveL1StoreConflict(CoreId core, Addr addr,
         old, FlushCause::IntraThread,
         [this, core, addr, began, cont = std::move(cont)]() mutable {
             statConflictWait.sample(curTick() - began);
+            if (trace::probing()) [[unlikely]] {
+                trace::span(began, curTick(), name(),
+                            detail::concat("intra-thread core ", core,
+                                           " store 0x", std::hex, addr),
+                            "Conflict");
+            }
             resolveL1StoreConflict(core, addr, std::move(cont));
         });
 }
@@ -237,10 +241,15 @@ PersistController::resolveBankAccess(unsigned bankIdx, CoreId reqCore,
 
     // Inter-thread conflict (§3.1). First make sure the source epoch is
     // closed (splitting an ongoing epoch per §3.3), then resolve.
-    tracef("Conflict", *this, "inter-thread: core ", reqCore,
-           (isWrite ? " store" : " load"), " to 0x", std::hex, addr,
-           std::dec, " hits core ", srcCore, " epoch ", srcEpoch);
     ++statInterConflicts;
+    if (trace::probing()) [[unlikely]] {
+        trace::span(curTick(), curTick(), name(),
+                    detail::concat("inter-thread core ", reqCore,
+                                   isWrite ? " store 0x" : " load 0x",
+                                   std::hex, addr, std::dec, " hits core ",
+                                   srcCore, " epoch ", srcEpoch),
+                    "Conflict");
+    }
     toArbiter(bankNode, srcCore,
               [this, reqCore, isWrite, srcCore, srcEpoch, bankIdx,
                cont = std::move(cont)]() mutable {

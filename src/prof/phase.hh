@@ -8,9 +8,8 @@
  * phase id into a thread-local slot and restores the enclosing phase
  * on exit — two relaxed byte stores when the profiler is attached to
  * the thread, one inlined thread-local load and a predictable branch
- * when it is not (the same guard discipline as trace::probing(), so
- * the disabled cost is pinned by the same microbench family:
- * BM_ScheduleRun_DisabledPhaseScope in bench_eventqueue).
+ * when it is not (the same guard discipline as trace::probing(); the
+ * disabled cost is part of perfbench's unprofiled wall_s).
  *
  * The expensive half lives in prof/sampler.hh: a POSIX interval timer
  * whose async-signal-safe SIGPROF handler reads the tag and bumps a

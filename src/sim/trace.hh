@@ -1,31 +1,28 @@
 /**
  * @file
- * Lightweight debug tracing, in the spirit of gem5's DPRINTF, plus the
- * structured observability probes (duration spans and counter samples)
- * behind the Chrome/Perfetto exporter in src/exp.
+ * Structured observability probes: duration spans and counter samples,
+ * captured by a per-thread Recorder and exported by the
+ * Chrome/Perfetto writer in src/exp.
  *
- * Trace flags are plain strings ("Epoch", "Cache", "Mesh", ...).
- * Enable them with the PERSIM_TRACE environment variable:
+ * Every span carries a category (kCategories); a Recorder captures the
+ * categories it was built with (persim_sweep --trace-flags).
  *
- *   PERSIM_TRACE=Epoch,Flush ./examples/quickstart
- *   PERSIM_TRACE=all         ./build/tools/persim_cli ...
- *
- * Tracing compiles in but is near-free when disabled: every probe
- * (tracef, trace::span, trace::counter) starts with an inlined
- * thread-local load and branch; the message/span is only built when a
- * Recorder is attached to the thread (or, for tracef, a flag is set in
- * the environment). bench_eventqueue's ProbeSite benchmark pins the
- * disabled-path cost.
+ * Probes compile in but are near-free when no Recorder is attached:
+ * every probe (trace::span, trace::counter, trace::probing) starts with
+ * an inlined thread-local load and branch, and the span is only built
+ * when a Recorder is attached to the thread. perfbench's untraced
+ * wall_s includes that disabled-path cost.
  */
 
 #ifndef PERSIM_SIM_TRACE_HH
 #define PERSIM_SIM_TRACE_HH
 
+#include <array>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace persim
@@ -34,14 +31,12 @@ namespace persim
 namespace trace
 {
 
-/** One captured trace event (see Recorder). */
-struct Record
-{
-    Tick tick;
-    std::string flag;
-    std::string who;
-    std::string message;
-};
+/**
+ * Every span category. A Recorder's flag list names a subset of these,
+ * or "all"; any other name is a fatal error.
+ */
+inline constexpr std::array<std::string_view, 6> kCategories = {
+    "Epoch", "Flush", "Exec", "Mshr", "NvmQ", "Conflict"};
 
 /**
  * One completed duration span on a component track.
@@ -49,10 +44,11 @@ struct Record
  * Spans are recorded at close time, when both endpoints are known:
  * an epoch span opens when the epoch is created in the EpochTable and
  * closes at PersistCMP; an MSHR span covers one busy episode; an NVM
- * write-queue span covers one non-empty residency episode. Overlapping
- * spans on one track are legal (epochs of one core overlap by design —
- * that overlap IS the paper's claim); the exporter splays them onto
- * parallel lanes so Perfetto renders them as overlapping bars.
+ * write-queue span covers one non-empty residency episode; a conflict
+ * span covers a conflicting request's wait. Overlapping spans on one
+ * track are legal (epochs of one core overlap by design — that overlap
+ * IS the paper's claim); the exporter splays them onto parallel lanes
+ * so Perfetto renders them as overlapping bars.
  */
 struct Span
 {
@@ -62,7 +58,7 @@ struct Span
     std::string track;
     /** Span label, e.g. "epoch 42". */
     std::string name;
-    /** Category; doubles as the trace flag gating the span. */
+    /** Category (one of kCategories); gates the span. */
     std::string cat;
 };
 
@@ -76,22 +72,21 @@ struct Counter
 };
 
 /**
- * In-memory capture of trace events for structured export (e.g. the
- * Chrome-tracing exporter in src/exp).
+ * In-memory capture of spans and counter samples for structured export
+ * (the Chrome-tracing exporter in src/exp).
  *
  * A Recorder is attached to the *current thread*: every simulation runs
  * its event loop on one thread, so a per-thread recorder captures
  * exactly one System's event stream even when a sweep runs many
- * Systems concurrently. While attached, the listed flags are enabled
- * programmatically (no PERSIM_TRACE needed) and events go into
- * records instead of stderr; stderr still gets a copy for flags that
- * PERSIM_TRACE enables.
+ * Systems concurrently.
  */
 class Recorder
 {
   public:
     /**
-     * @param flagsCsv Comma-separated flag list, or "all".
+     * @param flagsCsv Comma-separated categories (kCategories), or
+     *        "all". An unknown category is a fatal error naming the
+     *        known set.
      * @param counterWindow Interval-stat sampling window in ticks; 0
      *        disables the windowed sampler (System::run consults this
      *        through trace::current()).
@@ -100,9 +95,8 @@ class Recorder
                       Tick counterWindow = 0);
 
     bool wants(const char *flag) const;
-    void add(Record r) { _records.push_back(std::move(r)); }
 
-    /** Record a completed span if its category flag is wanted. */
+    /** Record a completed span if its category is wanted. */
     void
     addSpan(Span s)
     {
@@ -112,7 +106,6 @@ class Recorder
 
     void addCounter(Counter c) { _counters.push_back(std::move(c)); }
 
-    const std::vector<Record> &records() const { return _records; }
     const std::vector<Span> &spans() const { return _spans; }
     const std::vector<Counter> &counters() const { return _counters; }
 
@@ -121,7 +114,6 @@ class Recorder
   private:
     bool _all = false;
     std::vector<std::string> _flags;
-    std::vector<Record> _records;
     std::vector<Span> _spans;
     std::vector<Counter> _counters;
     Tick _counterWindow = 0;
@@ -135,10 +127,6 @@ namespace detail
  * compiler's TLS init wrapper.
  */
 extern constinit thread_local Recorder *tlRecorder;
-/** True when PERSIM_TRACE names at least one flag. */
-extern const bool envAny;
-/** Slow path of enabled(): consult the PERSIM_TRACE flag set. */
-bool envEnabled(const char *flag);
 } // namespace detail
 
 /** Attach @p r to the current thread (replacing any previous one). */
@@ -156,25 +144,6 @@ inline Recorder *current() { return detail::tlRecorder; }
  * the disabled path stays a load-test-branch.
  */
 inline bool probing() { return detail::tlRecorder != nullptr; }
-
-/**
- * True when @p flag (or "all") was listed in PERSIM_TRACE, or when the
- * current thread's attached Recorder wants it. The common
- * nothing-enabled case is two inlined tests with no call.
- */
-inline bool
-enabled(const char *flag)
-{
-    if (Recorder *r = detail::tlRecorder) {
-        if (r->wants(flag))
-            return true;
-    }
-    return detail::envAny && detail::envEnabled(flag);
-}
-
-/** Emit one trace line: "<tick>: <flag>: <name>: <message>". */
-void emit(const char *flag, Tick when, const std::string &who,
-          const std::string &message);
 
 /**
  * Record a completed duration span [begin, end] on @p track.
@@ -197,21 +166,6 @@ counter(Tick tick, const char *track, double value)
 }
 
 } // namespace trace
-
-/**
- * Trace helper for SimObjects (and anything with curTick()/name()).
- *
- * Usage: tracef("Epoch", *this, "epoch ", id, " persisted");
- */
-template <typename Obj, typename... Args>
-void
-tracef(const char *flag, const Obj &obj, const Args &...args)
-{
-    if (!trace::enabled(flag))
-        return;
-    trace::emit(flag, obj.curTick(), obj.name(),
-                detail::concat(args...));
-}
 
 } // namespace persim
 

@@ -44,9 +44,6 @@ class TraceReplayWorkload : public cpu::Workload
     void onLoadComplete(Addr addr, Tick now) override;
     std::uint64_t transactions() const override { return _txns; }
 
-    /** Records consumed so far (tests, bench). */
-    std::uint64_t recordsReplayed() const { return _cursor.decoded(); }
-
   private:
     /** Pending lock step awaiting issue or probe completion. */
     enum class LockPhase : std::uint8_t

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <sstream>
 
 #include "exp/figures.hh"
@@ -541,28 +542,35 @@ TEST(ExpTrace, RecorderCapturesAndExportsChromeJson)
     trace::detachRecorder();
 
     ASSERT_TRUE(outcome.ok) << outcome.error;
-    ASSERT_FALSE(recorder.records().empty());
+    ASSERT_FALSE(recorder.spans().empty());
 
     std::ostringstream os;
     exp::writeChromeTrace(os, recorder, "test/hash");
     JsonValue doc = JsonValue::parse(os.str());
     const JsonValue *events = doc.get("traceEvents");
     ASSERT_NE(events, nullptr);
-    ASSERT_GT(events->size(), recorder.records().size());
+    ASSERT_GT(events->size(), recorder.spans().size());
 
-    // Timestamps of instant events are non-decreasing; every instant
-    // event carries a category and a track.
-    double lastTs = -1.0;
+    // Span timestamps never decrease on a lane; every span event
+    // carries a category and a track.
+    std::map<double, double> lastTs; // tid -> last ts
+    double maxTs = 0.0;
     for (std::size_t i = 0; i < events->size(); ++i) {
         const JsonValue &ev = events->at(i);
-        if (ev.get("ph")->asString() != "i")
+        const std::string ph = ev.get("ph")->asString();
+        if (ph != "B" && ph != "E" && ph != "X")
             continue;
-        EXPECT_GE(ev.get("ts")->asNumber(), lastTs);
-        lastTs = ev.get("ts")->asNumber();
+        ASSERT_NE(ev.get("tid"), nullptr);
+        const double tid = ev.get("tid")->asNumber();
+        const double ts = ev.get("ts")->asNumber();
+        if (lastTs.contains(tid)) {
+            EXPECT_GE(ts, lastTs[tid]);
+        }
+        lastTs[tid] = ts;
+        maxTs = std::max(maxTs, ts);
         EXPECT_FALSE(ev.get("cat")->asString().empty());
-        EXPECT_NE(ev.get("tid"), nullptr);
     }
-    EXPECT_GT(lastTs, 0.0);
+    EXPECT_GT(maxTs, 0.0);
 }
 
 TEST(ExpTrace, RecorderFlagFilteringWorks)
@@ -570,9 +578,12 @@ TEST(ExpTrace, RecorderFlagFilteringWorks)
     trace::Recorder recorder("Epoch,Flush");
     EXPECT_TRUE(recorder.wants("Epoch"));
     EXPECT_TRUE(recorder.wants("Flush"));
-    EXPECT_FALSE(recorder.wants("Evict"));
+    EXPECT_FALSE(recorder.wants("Conflict"));
     trace::Recorder all("all");
     EXPECT_TRUE(all.wants("anything"));
+    // Only the span categories exist; a typo is refused, not ignored.
+    EXPECT_THROW(trace::Recorder("Epoch,Flsh"), SimFatal);
+    EXPECT_THROW(trace::Recorder("Evict"), SimFatal);
 }
 
 } // namespace persim

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -24,6 +25,8 @@
 #include "model/system.hh"
 #include "sim/trace.hh"
 #include "workload/workload_factory.hh"
+
+#include "script_workload.hh"
 
 namespace persim
 {
@@ -135,6 +138,48 @@ TEST(ObsRecorder, CapturesSpansAndFiltersByCategory)
     EXPECT_EQ(recorder.spans()[0].name, "kept");
     ASSERT_EQ(recorder.counters().size(), 1u);
     EXPECT_EQ(recorder.counters()[0].value, 3.0);
+}
+
+TEST(ObsRecorder, IntraThreadConflictSpanCoversTheWait)
+{
+    // St A | barrier | St A: the second store conflicts with the first
+    // epoch and waits for it to persist (Figure 3b). Each intra-thread
+    // conflict is one Conflict span over exactly that wait.
+    model::SystemConfig cfg = model::SystemConfig::smallTest(4);
+    applyPersistencyModel(cfg, model::PersistencyModel::BufferedEpoch,
+                          persist::BarrierKind::LB);
+    model::System sys(cfg);
+    const Addr a = Addr{1} << 32;
+    sys.setWorkload(0, std::make_unique<test::Script>(
+                           std::vector<cpu::MemOp>{
+                               cpu::MemOp::store(a),
+                               cpu::MemOp::barrier(),
+                               cpu::MemOp::store(a),
+                               cpu::MemOp::barrier(),
+                           }));
+    trace::Recorder recorder("Conflict");
+    trace::attachRecorder(&recorder);
+    const model::SimResult res = sys.run();
+    trace::detachRecorder();
+    ASSERT_TRUE(res.completed);
+
+    const JsonValue stats = exp::statGroupsToJson(sys.statGroups());
+    const double conflicts =
+        exp::sumStat(stats, {"persist", "intraConflicts"});
+    EXPECT_EQ(conflicts, 1.0);
+    ASSERT_EQ(recorder.spans().size(), conflicts);
+    double waited = 0.0;
+    for (const trace::Span &s : recorder.spans()) {
+        EXPECT_EQ(s.cat, "Conflict");
+        EXPECT_EQ(s.track, "persist");
+        EXPECT_GT(s.end, s.begin);
+        waited += static_cast<double>(s.end - s.begin);
+    }
+    const JsonValue *wait = stats.get("persist")
+                                ->get("distributions")
+                                ->get("conflictWait");
+    ASSERT_NE(wait, nullptr);
+    EXPECT_EQ(waited, wait->get("sum")->asNumber());
 }
 
 // ---------------------------------------------------------------------
@@ -272,26 +317,6 @@ TEST(ObsExport, OverlappingSpansSplayIntoLanes)
     EXPECT_NE(beginTid["a"], beginTid["b"]);
     EXPECT_NE(std::find(laneNames.begin(), laneNames.end(), "t #2"),
               laneNames.end());
-}
-
-TEST(ObsExport, InstantOnlyRecorderExports)
-{
-    trace::Recorder recorder("all");
-    trace::attachRecorder(&recorder);
-    trace::emit("Epoch", 5, "legacy.src", "hello");
-    trace::detachRecorder();
-
-    std::ostringstream os;
-    exp::writeChromeTrace(os, recorder, "legacy");
-    const JsonValue doc = JsonValue::parse(os.str());
-    const JsonValue *events = doc.get("traceEvents");
-    bool sawInstant = false;
-    for (std::size_t i = 0; i < events->size(); ++i) {
-        const JsonValue &e = events->at(i);
-        if (e.get("ph")->asString() == "i")
-            sawInstant = true;
-    }
-    EXPECT_TRUE(sawInstant);
 }
 
 TEST(ObsExport, CounterCsvHasHeaderAndOneRowPerWindow)

@@ -15,6 +15,8 @@
 #include "model/system.hh"
 #include "workload/workload_factory.hh"
 
+#include "script_workload.hh"
+
 namespace persim
 {
 
@@ -24,31 +26,10 @@ using model::SimResult;
 using model::System;
 using model::SystemConfig;
 using persist::BarrierKind;
+using test::Script;
 
 namespace
 {
-
-/** Replays a fixed op list, then halts. */
-class ScriptWorkload : public cpu::Workload
-{
-  public:
-    explicit ScriptWorkload(std::vector<cpu::MemOp> ops)
-        : _ops(std::move(ops))
-    {
-    }
-
-    cpu::MemOp
-    next(Tick) override
-    {
-        if (_pos >= _ops.size())
-            return cpu::MemOp::halt();
-        return _ops[_pos++];
-    }
-
-  private:
-    std::vector<cpu::MemOp> _ops;
-    std::size_t _pos = 0;
-};
 
 constexpr Addr kBase = Addr{1} << 32;
 
@@ -72,7 +53,7 @@ TEST(PersistProtocol, SingleEpochFlushHandshake)
     for (int i = 0; i < 4; ++i)
         ops.push_back(cpu::MemOp::store(kBase + i * kLineBytes));
     ops.push_back(cpu::MemOp::barrier());
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+    sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
@@ -103,7 +84,7 @@ TEST(PersistProtocol, IntraThreadConflictFlushesOlderEpoch)
         cpu::MemOp::store(kBase),
         cpu::MemOp::barrier(),
     };
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+    sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
@@ -123,7 +104,7 @@ TEST(PersistProtocol, ReadsNeverConflictIntraThread)
         cpu::MemOp::load(kBase), // same line, read: no conflict (§3.2)
         cpu::MemOp::barrier(),
     };
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+    sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
@@ -135,12 +116,12 @@ TEST(PersistProtocol, InterThreadConflictDetectedAtBank)
     // T0 writes Y and completes its epoch; T1 then reads Y (Figure 3a).
     SystemConfig cfg = smallBep(BarrierKind::LB);
     System sys(cfg);
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(0, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase),
                                cpu::MemOp::barrier(),
                            }));
-    sys.setWorkload(1, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(1, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::compute(3000),
                                cpu::MemOp::load(kBase),
@@ -158,12 +139,12 @@ TEST(PersistProtocol, IdtAbsorbsInterThreadConflict)
 {
     SystemConfig cfg = smallBep(BarrierKind::LBIDT);
     System sys(cfg);
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(0, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase),
                                cpu::MemOp::barrier(),
                            }));
-    sys.setWorkload(1, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(1, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::compute(3000),
                                cpu::MemOp::load(kBase),
@@ -184,12 +165,12 @@ TEST(PersistProtocol, WriteWriteSharingStealsIncarnation)
     // to T1's epoch and the ordering edge is still enforced.
     SystemConfig cfg = smallBep(BarrierKind::LBIDT);
     System sys(cfg);
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(0, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase),
                                cpu::MemOp::barrier(),
                            }));
-    sys.setWorkload(1, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(1, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::compute(3000),
                                cpu::MemOp::store(kBase),
@@ -211,14 +192,14 @@ TEST(PersistProtocol, Figure5DeadlockWithoutSplitting)
     cfg.barrier.splitOngoing = false;
     System sys(cfg);
     // Ei and Ej stay ongoing while each reads the other's dirty line.
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(0, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase),
                                cpu::MemOp::compute(2000),
                                cpu::MemOp::load(kBase + 4096),
                                cpu::MemOp::barrier(),
                            }));
-    sys.setWorkload(1, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(1, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase + 4096),
                                cpu::MemOp::compute(2000),
@@ -235,14 +216,14 @@ TEST(PersistProtocol, Figure5AvoidedBySplitting)
     SystemConfig cfg = smallBep(BarrierKind::LB);
     ASSERT_TRUE(cfg.barrier.splitOngoing);
     System sys(cfg);
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(0, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase),
                                cpu::MemOp::compute(2000),
                                cpu::MemOp::load(kBase + 4096),
                                cpu::MemOp::barrier(),
                            }));
-    sys.setWorkload(1, std::make_unique<ScriptWorkload>(
+    sys.setWorkload(1, std::make_unique<Script>(
                            std::vector<cpu::MemOp>{
                                cpu::MemOp::store(kBase + 4096),
                                cpu::MemOp::compute(2000),
@@ -270,7 +251,7 @@ TEST(PersistProtocol, EpochWindowBackpressure)
         ops.push_back(cpu::MemOp::store(kBase + e * 4096));
         ops.push_back(cpu::MemOp::barrier());
     }
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+    sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());
@@ -291,7 +272,7 @@ TEST(PersistProtocol, InvalidatingFlushDropsLines)
             cpu::MemOp::store(kBase),    // conflict -> flush of epoch 0
             cpu::MemOp::barrier(),
         };
-        sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+        sys.setWorkload(0, std::make_unique<Script>(ops));
         SimResult res = sys.run();
         EXPECT_TRUE(res.completed);
         const exp::JsonValue stats = exp::statGroupsToJson(sys.statGroups());
@@ -314,7 +295,7 @@ TEST(PersistProtocol, BlockingBarrierWaitsForPersist)
         ops.push_back(cpu::MemOp::store(kBase + e * 4096));
         ops.push_back(cpu::MemOp::barrier());
     }
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+    sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_GE(res.execTicks, 4 * cfg.nvram.writeLatency);
@@ -334,7 +315,7 @@ TEST(PersistProtocol, ChecksumOfProtocolMessageEconomy)
             ops.push_back(cpu::MemOp::store(kBase));  // forces conflicts
             ops.push_back(cpu::MemOp::barrier());
         }
-        sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+        sys.setWorkload(0, std::make_unique<Script>(ops));
         SimResult res = sys.run();
         EXPECT_TRUE(res.completed);
         return sys.mesh().packetsSent();
@@ -373,7 +354,7 @@ TEST(PersistProtocol, DrainLeavesNoUnpersistedState)
         cpu::MemOp::store(kBase),
         cpu::MemOp::store(kBase + 4096),
     };
-    sys.setWorkload(0, std::make_unique<ScriptWorkload>(ops));
+    sys.setWorkload(0, std::make_unique<Script>(ops));
     SimResult res = sys.run();
     ASSERT_TRUE(res.completed);
     EXPECT_TRUE(res.violations.empty());

@@ -16,6 +16,8 @@
 #include "model/system.hh"
 #include "sim/logging.hh"
 
+#include "script_workload.hh"
+
 namespace persim
 {
 
@@ -24,27 +26,10 @@ using model::PersistencyModel;
 using model::SimResult;
 using model::System;
 using model::SystemConfig;
+using test::Script;
 
 namespace
 {
-
-class Script : public cpu::Workload
-{
-  public:
-    explicit Script(std::vector<cpu::MemOp> ops) : _ops(std::move(ops)) {}
-
-    cpu::MemOp
-    next(Tick) override
-    {
-        if (_pos >= _ops.size())
-            return cpu::MemOp::halt();
-        return _ops[_pos++];
-    }
-
-  private:
-    std::vector<cpu::MemOp> _ops;
-    std::size_t _pos = 0;
-};
 
 constexpr Addr kBase = Addr{1} << 32;
 

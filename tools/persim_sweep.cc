@@ -111,7 +111,8 @@ usage(const char *argv0)
         "  --trace FILE      write a Chrome/Perfetto trace of one job\n"
         "  --trace-job ID    which job to trace (default: first);\n"
         "                    ID is \"<workload>/<config>/s<seed>\"\n"
-        "  --trace-flags F   comma-separated trace flags (default all)\n"
+        "  --trace-flags F   comma-separated span categories "
+        "(default all)\n"
         "  --interval N      interval-stat window in ticks for the "
         "traced job\n"
         "                    (default 5000; needs --trace)\n"
@@ -309,6 +310,12 @@ main(int argc, char **argv)
         // silently write an empty trace.
         std::fprintf(stderr, "--isolate cannot record --trace "
                              "(simulation runs in a child process)\n");
+        return 2;
+    }
+    try {
+        trace::Recorder{traceFlags}; // refuses an unknown category
+    } catch (const SimFatal &e) {
+        std::fprintf(stderr, "--trace-flags: %s\n", e.what());
         return 2;
     }
     if (!intervalCsvFile.empty() && traceFile.empty()) {
@@ -636,10 +643,8 @@ main(int argc, char **argv)
             exp::writeChromeTrace(os, *runner.recorder(),
                                   sweep.name + "/" + traced);
             std::fprintf(stderr,
-                         "wrote %s (%zu events, %zu spans, %zu counter "
-                         "samples)\n",
+                         "wrote %s (%zu spans, %zu counter samples)\n",
                          traceFile.c_str(),
-                         runner.recorder()->records().size(),
                          runner.recorder()->spans().size(),
                          runner.recorder()->counters().size());
         }
