@@ -13,7 +13,6 @@
 #include "exp/journal.hh"
 #include "exp/sandbox.hh"
 #include "exp/stats_export.hh"
-#include "prof/hw_counters.hh"
 #include "prof/phase.hh"
 #include "prof/sampler.hh"
 #include "sim/logging.hh"
@@ -38,6 +37,12 @@ constexpr unsigned kPollTickMs = 25;
 
 /** Period of the --progress live line. */
 constexpr unsigned kLiveIntervalMs = 2000;
+
+/**
+ * Phase-sampler period in microseconds of process CPU time. Prime, so
+ * the sampler cannot phase-lock with any periodic simulator behavior.
+ */
+constexpr unsigned kProfPeriodUsec = 997;
 
 } // namespace
 
@@ -215,16 +220,13 @@ SweepRunner::run(const Sweep &sweep)
     _recorder = std::make_unique<trace::Recorder>(_opts.traceFlags,
                                                   _opts.counterWindow);
 
-    // Host-time profiling rides the whole sweep: one interval timer,
-    // per-thread phase counters, and a hardware counter group around
-    // each job. All of it observes the host only — the deterministic
-    // sweep output cannot see whether profiling was on.
+    // Host-time profiling rides the whole sweep: one interval timer
+    // and per-thread phase counters. Both observe the host only — the
+    // deterministic sweep output cannot see whether profiling was on.
     _profile = prof::SweepProfile{};
     const bool profOn = _opts.prof;
     if (profOn)
-        prof::Sampler::start(_opts.profPeriodUsec);
-    if (profOn)
-        _profile.jobs.resize(total);
+        prof::Sampler::start(kProfPeriodUsec);
     // Each worker fills only its own jobs' entries.
     _telemetry.jobs.resize(total);
 
@@ -357,17 +359,10 @@ SweepRunner::run(const Sweep &sweep)
         if (tracing)
             trace::attachRecorder(_recorder.get());
 
-        // Per-job profiling bracket: worker threads attach lazily (the
-        // block persists across this worker's jobs), and a fresh
-        // counter group scopes exactly this job's hardware activity.
-        prof::PhaseCounts profBefore;
-        std::unique_ptr<prof::HwCounterGroup> counters;
-        if (profOn) {
+        // Worker threads attach lazily; the block persists across
+        // this worker's jobs.
+        if (profOn)
             prof::Sampler::attachThread();
-            profBefore = prof::Sampler::threadCounts();
-            counters = std::make_unique<prof::HwCounterGroup>();
-            counters->start();
-        }
 
         // The only retry loop. Backoff, the deadline clock and the
         // timeout verdict live here, outside the attempt, so they
@@ -403,12 +398,6 @@ SweepRunner::run(const Sweep &sweep)
                 break;
         }
 
-        if (profOn) {
-            prof::JobProfile &jp = _profile.jobs[index];
-            jp.id = spec.id();
-            jp.counters = counters->stop();
-            jp.phases = prof::Sampler::threadCounts().minus(profBefore);
-        }
         if (tracing)
             trace::detachRecorder();
 
@@ -472,13 +461,9 @@ SweepRunner::run(const Sweep &sweep)
 
     if (profOn) {
         _profile.sweep = sweep.name;
-        _profile.periodUsec = _opts.profPeriodUsec;
-        _profile.hostCpus = _telemetry.hostCpus;
-        _profile.loadAvg1 = _telemetry.loadAvg1;
+        _profile.periodUsec = kProfPeriodUsec;
         _profile.phases = prof::Sampler::totalCounts();
         _profile.unattributed = prof::Sampler::unattributedSamples();
-        for (const prof::JobProfile &jp : _profile.jobs)
-            _profile.counters.add(jp.counters);
     }
     return outcomes;
 }

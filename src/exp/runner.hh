@@ -207,8 +207,8 @@ struct RunnerOptions
      * A crash (segfault, abort, OOM kill) becomes one failed cell
      * with the exit status / signal name in its outcome instead of a
      * dead sweep. Successful cells produce byte-identical sweep JSON
-     * either way. Per-job tracing and profiling counters do not cross
-     * the fork, so --trace/--prof readouts cover only the parent.
+     * either way. Per-job tracing and phase samples do not cross the
+     * fork, so --trace/--prof-out readouts cover only the parent.
      */
     bool isolate = false;
 
@@ -248,19 +248,11 @@ struct RunnerOptions
 
     /**
      * Host-time profiling: arm the SIGPROF phase sampler for the whole
-     * sweep and open a hardware counter group around every job. The
-     * breakdown lands in profile(); the deterministic
+     * sweep. The phase samples land in profile(); the deterministic
      * sweep JSON is untouched. Do not combine with -pg builds (gprof
      * owns ITIMER_PROF there).
      */
     bool prof = false;
-
-    /**
-     * Sampling period in microseconds of process CPU time. The
-     * default is prime so the sampler cannot phase-lock with any
-     * periodic simulator behavior.
-     */
-    unsigned profPeriodUsec = 997;
 };
 
 /** Runs a Sweep and owns the optional trace capture. */

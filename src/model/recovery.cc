@@ -1,5 +1,6 @@
 #include "model/recovery.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -80,9 +81,35 @@ RecoveryAnalysis::analyze(std::size_t crashIndex) const
 std::size_t
 RecoveryAnalysis::firstInconsistency() const
 {
-    for (std::size_t cut = 0; cut <= _log.size(); ++cut) {
-        if (!analyze(cut).consistent)
-            return cut;
+    // Durable counts only grow with the cut, so each core's first
+    // not-fully-durable epoch only moves forward. A cut is inconsistent
+    // exactly when the line it adds lands past that boundary.
+    struct CoreEpochs
+    {
+        std::vector<EpochId> epochs;         // ascending, as in _expected
+        std::vector<std::uint64_t> missing;  // expected minus durable
+        std::size_t boundary = 0;            // first not-full epoch
+    };
+    std::vector<CoreEpochs> cores(_numCores);
+    for (const auto &[key, expected] : _expected) {
+        if (key.first < _numCores) {
+            cores[key.first].epochs.push_back(key.second);
+            cores[key.first].missing.push_back(expected);
+        }
+    }
+    for (std::size_t i = 0; i < _log.size(); ++i) {
+        const auto &ev = _log[i];
+        if (ev.isLog || ev.core >= _numCores)
+            continue;
+        CoreEpochs &c = cores[ev.core];
+        const std::size_t e = static_cast<std::size_t>(
+            std::lower_bound(c.epochs.begin(), c.epochs.end(), ev.epoch) -
+            c.epochs.begin());
+        --c.missing[e];
+        if (e > c.boundary)
+            return i + 1;
+        while (c.boundary < c.missing.size() && c.missing[c.boundary] == 0)
+            ++c.boundary;
     }
     return _log.size() + 1;
 }

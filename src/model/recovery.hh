@@ -92,8 +92,8 @@ class RecoveryAnalysis
     RecoveryReport analyze(std::size_t crashIndex) const;
 
     /**
-     * Check consistency at every crash point (O(log^2) worst case; use
-     * on test-sized logs).
+     * Check consistency at every crash point in one pass over the
+     * log; agrees with analyze(cut).consistent for every cut.
      *
      * @return The first inconsistent crash index, or log.size()+1 if
      *         every point is recoverable.

@@ -1,7 +1,5 @@
 #include "prof/phase.hh"
 
-#include <cstring>
-
 namespace persim::prof
 {
 
@@ -36,19 +34,6 @@ phaseName(Phase p)
         return "statExport";
     }
     return "other";
-}
-
-bool
-phaseFromName(const char *name, Phase &out)
-{
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-        const Phase p = static_cast<Phase>(i);
-        if (std::strcmp(name, phaseName(p)) == 0) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace persim::prof

@@ -62,9 +62,6 @@ inline constexpr std::size_t kPhaseCount = 10;
 /** Stable camelCase name of @p p; doubles as the JSON key. */
 const char *phaseName(Phase p);
 
-/** Inverse of phaseName; returns false when @p name is unknown. */
-bool phaseFromName(const char *name, Phase &out);
-
 namespace detail
 {
 

@@ -1,56 +1,7 @@
 #include "prof/profile.hh"
 
-#include "sim/logging.hh"
-
 namespace persim::prof
 {
-
-exp::JsonValue
-phaseCountsToJson(const PhaseCounts &counts)
-{
-    exp::JsonValue out = exp::JsonValue::object();
-    for (std::size_t i = 0; i < kPhaseCount; ++i)
-        out[phaseName(static_cast<Phase>(i))] =
-            exp::JsonValue(counts.samples[i]);
-    return out;
-}
-
-PhaseCounts
-phaseCountsFromJson(const exp::JsonValue &v)
-{
-    PhaseCounts out;
-    for (const auto &[key, value] : v.members()) {
-        Phase p;
-        if (phaseFromName(key.c_str(), p))
-            out.samples[static_cast<std::size_t>(p)] =
-                static_cast<std::uint64_t>(value.asNumber());
-    }
-    return out;
-}
-
-exp::JsonValue
-JobProfile::toJson() const
-{
-    exp::JsonValue out = exp::JsonValue::object();
-    out["id"] = exp::JsonValue(id);
-    out["samples"] = exp::JsonValue(phases.total());
-    out["phases"] = phaseCountsToJson(phases);
-    out["counters"] = counters.toJson();
-    return out;
-}
-
-JobProfile
-JobProfile::fromJson(const exp::JsonValue &v)
-{
-    JobProfile out;
-    if (const exp::JsonValue *id = v.get("id"))
-        out.id = id->asString();
-    if (const exp::JsonValue *ph = v.get("phases"))
-        out.phases = phaseCountsFromJson(*ph);
-    if (const exp::JsonValue *c = v.get("counters"))
-        out.counters = CounterReading::fromJson(*c);
-    return out;
-}
 
 double
 SweepProfile::attributionRatio() const
@@ -68,45 +19,14 @@ SweepProfile::toJson() const
     out["persimProf"] = exp::JsonValue(1);
     out["sweep"] = exp::JsonValue(sweep);
     out["periodUsec"] = exp::JsonValue(periodUsec);
-    out["hostCpus"] = exp::JsonValue(hostCpus);
-    if (loadAvg1 >= 0.0)
-        out["loadAvg1"] = exp::JsonValue(loadAvg1);
     out["samples"] = exp::JsonValue(phases.total());
     out["attributionRatio"] = exp::JsonValue(attributionRatio());
     out["unattributed"] = exp::JsonValue(unattributed);
-    out["phases"] = phaseCountsToJson(phases);
-    out["counters"] = counters.toJson();
-    exp::JsonValue arr = exp::JsonValue::array();
-    for (const JobProfile &j : jobs)
-        arr.push(j.toJson());
-    out["jobs"] = std::move(arr);
-    return out;
-}
-
-SweepProfile
-SweepProfile::fromJson(const exp::JsonValue &v)
-{
-    const exp::JsonValue *ver = v.get("persimProf");
-    if (!ver || static_cast<int>(ver->asNumber()) != 1)
-        fatal("not a persim_prof v1 profile document");
-    SweepProfile out;
-    if (const exp::JsonValue *s = v.get("sweep"))
-        out.sweep = s->asString();
-    if (const exp::JsonValue *p = v.get("periodUsec"))
-        out.periodUsec = static_cast<unsigned>(p->asNumber());
-    if (const exp::JsonValue *h = v.get("hostCpus"))
-        out.hostCpus = static_cast<unsigned>(h->asNumber());
-    if (const exp::JsonValue *l = v.get("loadAvg1"))
-        out.loadAvg1 = l->asNumber();
-    if (const exp::JsonValue *u = v.get("unattributed"))
-        out.unattributed = static_cast<std::uint64_t>(u->asNumber());
-    if (const exp::JsonValue *ph = v.get("phases"))
-        out.phases = phaseCountsFromJson(*ph);
-    if (const exp::JsonValue *c = v.get("counters"))
-        out.counters = CounterReading::fromJson(*c);
-    if (const exp::JsonValue *jobs = v.get("jobs"))
-        for (const exp::JsonValue &j : jobs->items())
-            out.jobs.push_back(JobProfile::fromJson(j));
+    exp::JsonValue byPhase = exp::JsonValue::object();
+    for (std::size_t i = 0; i < kPhaseCount; ++i)
+        byPhase[phaseName(static_cast<Phase>(i))] =
+            exp::JsonValue(phases.samples[i]);
+    out["phases"] = std::move(byPhase);
     return out;
 }
 

@@ -1,13 +1,11 @@
 /**
  * @file
- * The on-disk profile document behind `persim_sweep --prof-out` and
- * everything `tools/persim_prof` renders/diffs.
+ * The on-disk profile document behind `persim_sweep --prof-out`.
  *
- * A profile is strictly host-side (sample counts, hardware counters,
- * load average) and therefore lives in its own file, never inside the
- * deterministic sweep JSON — the same separation exp/telemetry keeps.
- * The document round-trips through exp::JsonValue so persim_prof can
- * parse, tabulate, and diff profiles produced by any build.
+ * A profile is strictly host-side (phase sample counts) and therefore
+ * lives in its own file, never inside the deterministic sweep JSON —
+ * the same separation exp/telemetry keeps. perfbench reads its
+ * `phases` object for the per-layer host-time split.
  */
 
 #ifndef PERSIM_PROF_PROFILE_HH
@@ -15,56 +13,28 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "exp/json.hh"
-#include "prof/hw_counters.hh"
 #include "prof/sampler.hh"
 
 namespace persim::prof
 {
-
-/** One job's slice of the profile. */
-struct JobProfile
-{
-    std::string id;
-    PhaseCounts phases;
-    CounterReading counters;
-
-    exp::JsonValue toJson() const;
-    static JobProfile fromJson(const exp::JsonValue &v);
-};
 
 /** A whole sweep's profile (`--prof-out` document, version 1). */
 struct SweepProfile
 {
     std::string sweep;
     unsigned periodUsec = 0;
-    unsigned hostCpus = 0;
-    /** 1-minute load average at the end of the run; < 0 = unknown. */
-    double loadAvg1 = -1.0;
     /** Aggregate phase samples across every profiled thread. */
     PhaseCounts phases;
     /** Timer ticks that landed on unattached threads. */
     std::uint64_t unattributed = 0;
-    /** Counter deltas summed over jobs; source names the ladder rung. */
-    CounterReading counters;
-    std::vector<JobProfile> jobs;
 
     /** Fraction of samples on a named (non-Other) phase, in [0, 1]. */
     double attributionRatio() const;
 
     exp::JsonValue toJson() const;
-
-    /** Parse; throws SimFatal when @p v is not a v1 profile. */
-    static SweepProfile fromJson(const exp::JsonValue &v);
 };
-
-/** Serialize @p counts as an object keyed by phaseName. */
-exp::JsonValue phaseCountsToJson(const PhaseCounts &counts);
-
-/** Inverse of phaseCountsToJson; unknown keys are ignored. */
-PhaseCounts phaseCountsFromJson(const exp::JsonValue &v);
 
 } // namespace persim::prof
 

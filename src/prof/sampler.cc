@@ -26,7 +26,6 @@ std::deque<std::unique_ptr<detail::ThreadBlock>> gBlocks;
 
 std::atomic<std::uint64_t> gUnattributed{0};
 bool gRunning = false;
-unsigned gPeriodUsec = 0;
 struct sigaction gOldAction;
 
 /**
@@ -70,22 +69,6 @@ PhaseCounts::attributed() const
     return total() - samples[static_cast<std::size_t>(Phase::Other)];
 }
 
-PhaseCounts
-PhaseCounts::minus(const PhaseCounts &b) const
-{
-    PhaseCounts out;
-    for (std::size_t i = 0; i < kPhaseCount; ++i)
-        out.samples[i] = samples[i] - b.samples[i];
-    return out;
-}
-
-void
-PhaseCounts::add(const PhaseCounts &b)
-{
-    for (std::size_t i = 0; i < kPhaseCount; ++i)
-        samples[i] += b.samples[i];
-}
-
 bool
 Sampler::start(unsigned periodUsec)
 {
@@ -110,7 +93,6 @@ Sampler::start(unsigned periodUsec)
         sigaction(SIGPROF, &gOldAction, nullptr);
         return false;
     }
-    gPeriodUsec = periodUsec;
     gRunning = true;
     return true;
 }
@@ -133,12 +115,6 @@ Sampler::running()
     return gRunning;
 }
 
-unsigned
-Sampler::periodUsec()
-{
-    return gPeriodUsec;
-}
-
 void
 Sampler::attachThread()
 {
@@ -157,18 +133,6 @@ void
 Sampler::detachThread()
 {
     detail::tlBlock = nullptr;
-}
-
-PhaseCounts
-Sampler::threadCounts()
-{
-    PhaseCounts out;
-    if (const detail::ThreadBlock *b = detail::tlBlock) {
-        for (std::size_t i = 0; i < kPhaseCount; ++i)
-            out.samples[i] =
-                b->samples[i].load(std::memory_order_relaxed);
-    }
-    return out;
 }
 
 PhaseCounts

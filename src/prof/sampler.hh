@@ -48,14 +48,6 @@ struct PhaseCounts
     {
         return samples[static_cast<std::size_t>(p)];
     }
-
-    /** Element-wise difference (per-job deltas; callers keep a >= b). */
-    PhaseCounts minus(const PhaseCounts &b) const;
-
-    /** Element-wise sum. */
-    void add(const PhaseCounts &b);
-
-    bool operator==(const PhaseCounts &) const = default;
 };
 
 /**
@@ -79,9 +71,6 @@ class Sampler
 
     static bool running();
 
-    /** Sampling period of the active/last start(), microseconds. */
-    static unsigned periodUsec();
-
     /**
      * Give the calling thread a profiling block (idempotent), making
      * its phase scopes live. Must run on the profiled thread before
@@ -92,9 +81,6 @@ class Sampler
 
     /** Make the calling thread's scopes inert again (block persists). */
     static void detachThread();
-
-    /** Snapshot of the calling thread's counters (attached threads). */
-    static PhaseCounts threadCounts();
 
     /** Sum over every thread attached since the last reset/start. */
     static PhaseCounts totalCounts();

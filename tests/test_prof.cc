@@ -2,22 +2,19 @@
  * @file
  * Tests for the host-time profiler (src/prof): phase-tag scopes and
  * their nesting/disabled semantics, the deterministic fake-sampler
- * hook, the hardware counter fallback ladder, profile JSON
- * round-trips, the /proc/self/status parser behind the RSS probes,
- * and the runner integration (the sweep profile, determinism of the
- * sweep document under profiling).
+ * hook, the profile document's phase keys, the /proc/self/status
+ * parser behind the RSS probes, and the runner integration (the sweep
+ * profile, determinism of the sweep document under profiling).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 
 #include "exp/figures.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "exp/telemetry.hh"
-#include "prof/hw_counters.hh"
 #include "prof/phase.hh"
 #include "prof/profile.hh"
 #include "prof/sampler.hh"
@@ -25,23 +22,10 @@
 namespace persim
 {
 
-namespace
-{
-
-/** Samples counted on this thread for @p p since @p before. */
-std::uint64_t
-delta(const prof::PhaseCounts &before, prof::Phase p)
-{
-    return prof::Sampler::threadCounts().minus(before)[p];
-}
-
-} // namespace
-
 TEST(ProfPhase, ScopeSetsAndRestoresTag)
 {
     prof::Sampler::attachThread();
     prof::Sampler::resetCounts();
-    const prof::PhaseCounts base = prof::Sampler::threadCounts();
 
     prof::Sampler::testTick(); // before any scope: Other
     {
@@ -51,8 +35,9 @@ TEST(ProfPhase, ScopeSetsAndRestoresTag)
     }
     prof::Sampler::testTick(); // scope closed: back to Other
 
-    EXPECT_EQ(delta(base, prof::Phase::LlcBank), 2u);
-    EXPECT_EQ(delta(base, prof::Phase::Other), 2u);
+    const prof::PhaseCounts got = prof::Sampler::totalCounts();
+    EXPECT_EQ(got[prof::Phase::LlcBank], 2u);
+    EXPECT_EQ(got[prof::Phase::Other], 2u);
     prof::Sampler::detachThread();
 }
 
@@ -60,7 +45,6 @@ TEST(ProfPhase, NestedScopeRestoresOuterTag)
 {
     prof::Sampler::attachThread();
     prof::Sampler::resetCounts();
-    const prof::PhaseCounts base = prof::Sampler::threadCounts();
 
     {
         prof::ScopedPhase outer(prof::Phase::EventLoop);
@@ -73,9 +57,10 @@ TEST(ProfPhase, NestedScopeRestoresOuterTag)
         prof::Sampler::testTick();
     }
 
-    EXPECT_EQ(delta(base, prof::Phase::EventLoop), 2u);
-    EXPECT_EQ(delta(base, prof::Phase::Nvm), 1u);
-    EXPECT_EQ(delta(base, prof::Phase::Other), 0u);
+    const prof::PhaseCounts got = prof::Sampler::totalCounts();
+    EXPECT_EQ(got[prof::Phase::EventLoop], 2u);
+    EXPECT_EQ(got[prof::Phase::Nvm], 1u);
+    EXPECT_EQ(got[prof::Phase::Other], 0u);
     prof::Sampler::detachThread();
 }
 
@@ -102,7 +87,6 @@ TEST(ProfPhase, FakeSamplerAttributesDeterministically)
     // check the ledger matches — no timers, no signals, no flakiness.
     prof::Sampler::attachThread();
     prof::Sampler::resetCounts();
-    const prof::PhaseCounts base = prof::Sampler::threadCounts();
 
     constexpr unsigned kTicks[] = {3, 1, 4, 1, 5};
     const prof::Phase phases[] = {
@@ -115,11 +99,11 @@ TEST(ProfPhase, FakeSamplerAttributesDeterministically)
             prof::Sampler::testTick();
     }
 
-    const prof::PhaseCounts got = prof::Sampler::threadCounts();
+    const prof::PhaseCounts got = prof::Sampler::totalCounts();
     for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(got.minus(base)[phases[i]], kTicks[i]);
-    EXPECT_EQ(got.minus(base).total(), 14u);
-    EXPECT_EQ(got.minus(base).attributed(), 14u);
+        EXPECT_EQ(got[phases[i]], kTicks[i]);
+    EXPECT_EQ(got.total(), 14u);
+    EXPECT_EQ(got.attributed(), 14u);
     prof::Sampler::detachThread();
 }
 
@@ -146,14 +130,21 @@ TEST(ProfPhase, TotalCountsSumsAcrossThreads)
 
 TEST(ProfPhase, PhaseNamesRoundTrip)
 {
+    // Through the written profile, every phase name is a distinct key
+    // of `phases` carrying that phase's own count.
+    prof::SweepProfile p;
+    for (std::size_t i = 0; i < prof::kPhaseCount; ++i)
+        p.phases.samples[i] = 10 + i;
+    const exp::JsonValue doc = exp::JsonValue::parse(p.toJson().dump());
+    const exp::JsonValue *phases = doc.get("phases");
+    ASSERT_NE(phases, nullptr);
+    EXPECT_EQ(phases->members().size(), prof::kPhaseCount);
     for (std::size_t i = 0; i < prof::kPhaseCount; ++i) {
-        const auto p = static_cast<prof::Phase>(i);
-        prof::Phase back;
-        ASSERT_TRUE(prof::phaseFromName(prof::phaseName(p), back));
-        EXPECT_EQ(back, p);
+        const char *name = prof::phaseName(static_cast<prof::Phase>(i));
+        const exp::JsonValue *v = phases->get(name);
+        ASSERT_NE(v, nullptr) << name;
+        EXPECT_EQ(v->asNumber(), static_cast<double>(10 + i)) << name;
     }
-    prof::Phase ignored;
-    EXPECT_FALSE(prof::phaseFromName("noSuchPhase", ignored));
 }
 
 TEST(ProfSampler, RealTimerAttributesBusyLoop)
@@ -167,9 +158,9 @@ TEST(ProfSampler, RealTimerAttributesBusyLoop)
     {
         prof::ScopedPhase scope(prof::Phase::StatExport);
         volatile std::uint64_t sink = 0;
-        const prof::PhaseCounts base = prof::Sampler::threadCounts();
-        while (prof::Sampler::threadCounts()
-                   .minus(base)[prof::Phase::StatExport] == 0) {
+        // start() zeroed every counter.
+        while (prof::Sampler::totalCounts()[prof::Phase::StatExport] ==
+               0) {
             for (unsigned i = 0; i < 100000; ++i)
                 sink = sink + i;
         }
@@ -179,121 +170,6 @@ TEST(ProfSampler, RealTimerAttributesBusyLoop)
     EXPECT_GE(prof::Sampler::totalCounts()[prof::Phase::StatExport],
               1u);
     prof::Sampler::detachThread();
-}
-
-TEST(ProfCounters, FallbackLadderAlwaysYieldsAReading)
-{
-    prof::HwCounterGroup group;
-    group.start();
-    volatile std::uint64_t sink = 0;
-    for (unsigned i = 0; i < 2000000; ++i)
-        sink = sink + i;
-    prof::CounterReading r = group.stop();
-
-    // Whatever rung the host supports, the reading is source-tagged
-    // and carries wall clock; perf and rusage values only when valid.
-    EXPECT_FALSE(r.source.empty());
-    EXPECT_GT(r.wallSec, 0.0);
-    if (r.perfValid) {
-        EXPECT_EQ(r.source.rfind("perf_event", 0), 0u);
-        EXPECT_GT(r.cycles, 0u);
-        EXPECT_GT(r.instructions, 0u);
-        EXPECT_GT(r.ipc(), 0.0);
-    } else {
-        EXPECT_NE(r.source.find("unavailable"), std::string::npos)
-            << "degraded source must say why: " << r.source;
-    }
-}
-
-TEST(ProfCounters, NoPerfEnvForcesFallback)
-{
-    ::setenv("PERSIM_PROF_NO_PERF", "1", 1);
-    prof::HwCounterGroup group;
-    ::unsetenv("PERSIM_PROF_NO_PERF");
-    EXPECT_FALSE(group.source().rfind("perf_event", 0) == 0)
-        << "PERSIM_PROF_NO_PERF must skip perf_event: "
-        << group.source();
-    group.start();
-    prof::CounterReading r = group.stop();
-    EXPECT_FALSE(r.perfValid);
-    EXPECT_GE(r.wallSec, 0.0);
-}
-
-TEST(ProfCounters, ReadingJsonRoundTrip)
-{
-    prof::CounterReading r;
-    r.source = "perf_event";
-    r.perfValid = true;
-    r.cycles = 123456789;
-    r.instructions = 987654321;
-    r.llcMisses = 4242;
-    r.branchMisses = 17;
-    r.rusageValid = true;
-    r.userSec = 1.5;
-    r.sysSec = 0.25;
-    r.minorFaults = 10;
-    r.majorFaults = 1;
-    r.volCtxSwitches = 3;
-    r.involCtxSwitches = 7;
-    r.wallSec = 2.0;
-
-    const prof::CounterReading back =
-        prof::CounterReading::fromJson(r.toJson());
-    EXPECT_EQ(back.source, r.source);
-    EXPECT_TRUE(back.perfValid);
-    EXPECT_EQ(back.cycles, r.cycles);
-    EXPECT_EQ(back.instructions, r.instructions);
-    EXPECT_EQ(back.llcMisses, r.llcMisses);
-    EXPECT_EQ(back.branchMisses, r.branchMisses);
-    EXPECT_TRUE(back.rusageValid);
-    EXPECT_DOUBLE_EQ(back.userSec, r.userSec);
-    EXPECT_EQ(back.involCtxSwitches, r.involCtxSwitches);
-    EXPECT_DOUBLE_EQ(back.wallSec, r.wallSec);
-}
-
-TEST(ProfProfile, SweepProfileJsonRoundTrip)
-{
-    prof::SweepProfile p;
-    p.sweep = "fig14";
-    p.periodUsec = 997;
-    p.hostCpus = 8;
-    p.loadAvg1 = 1.25;
-    p.phases.samples[static_cast<std::size_t>(
-        prof::Phase::EventLoop)] = 100;
-    p.phases.samples[static_cast<std::size_t>(prof::Phase::LlcBank)] =
-        50;
-    p.unattributed = 3;
-    p.counters.source = "getrusage (perf_event unavailable: EPERM)";
-    p.counters.rusageValid = true;
-    p.counters.userSec = 4.0;
-    p.counters.wallSec = 5.0;
-    prof::JobProfile job;
-    job.id = "radix/LB/s1";
-    job.phases.samples[static_cast<std::size_t>(
-        prof::Phase::L1Access)] = 7;
-    p.jobs.push_back(job);
-
-    const prof::SweepProfile back =
-        prof::SweepProfile::fromJson(p.toJson());
-    EXPECT_EQ(back.sweep, "fig14");
-    EXPECT_EQ(back.periodUsec, 997u);
-    EXPECT_EQ(back.hostCpus, 8u);
-    EXPECT_DOUBLE_EQ(back.loadAvg1, 1.25);
-    EXPECT_EQ(back.phases, p.phases);
-    EXPECT_EQ(back.unattributed, 3u);
-    EXPECT_EQ(back.counters.source, p.counters.source);
-    ASSERT_EQ(back.jobs.size(), 1u);
-    EXPECT_EQ(back.jobs[0].id, "radix/LB/s1");
-    EXPECT_EQ(back.jobs[0].phases[prof::Phase::L1Access], 7u);
-    EXPECT_NEAR(back.attributionRatio(), 1.0, 1e-9);
-}
-
-TEST(ProfProfile, FromJsonRejectsNonProfileDocument)
-{
-    EXPECT_THROW(
-        prof::SweepProfile::fromJson(
-            exp::JsonValue::parse("{\"sweep\": \"fig14\"}")),
-        SimFatal);
 }
 
 TEST(ProfStatus, ParseStatusKbReadsWellFormedKey)
@@ -374,20 +250,15 @@ TEST(ProfRunner, ProfiledSweepFillsTelemetryAndProfile)
     EXPECT_GE(tel.hostCpus, 1u);
     ASSERT_EQ(tel.jobs.size(), 4u);
 
-    // The profile lives only in the --prof-out document.
+    // The profile lives only in the --prof-out document, which holds
+    // phase samples and nothing per job or per host.
     const prof::SweepProfile &p = runner.profile();
     EXPECT_EQ(p.sweep, sweep.name);
-    EXPECT_EQ(p.periodUsec, opts.profPeriodUsec);
-    EXPECT_EQ(p.hostCpus, tel.hostCpus);
-    ASSERT_EQ(p.jobs.size(), 4u);
-    for (std::size_t i = 0; i < p.jobs.size(); ++i) {
-        EXPECT_EQ(p.jobs[i].id, tel.jobs[i].id);
-        EXPECT_FALSE(p.jobs[i].counters.source.empty());
-    }
-    EXPECT_FALSE(p.counters.source.empty());
-    const std::string profJson = p.toJson().dump();
-    EXPECT_NE(profJson.find("\"phases\""), std::string::npos);
-    EXPECT_NE(profJson.find("\"source\""), std::string::npos);
+    EXPECT_EQ(p.periodUsec, 997u);
+    const exp::JsonValue doc = exp::JsonValue::parse(p.toJson().dump());
+    ASSERT_NE(doc.get("phases"), nullptr);
+    for (const char *gone : {"jobs", "counters", "hostCpus", "loadAvg1"})
+        EXPECT_EQ(doc.get(gone), nullptr) << gone;
     // Telemetry no longer carries a copy of the profile.
     const std::string telJson = tel.toJson().dump();
     EXPECT_EQ(telJson.find("\"prof\""), std::string::npos);
@@ -405,7 +276,6 @@ TEST(ProfRunner, UnprofiledSweepOmitsProfFields)
     opts.progress = false;
     exp::SweepRunner runner(opts);
     runner.run(sweep);
-    EXPECT_TRUE(runner.profile().jobs.empty());
     EXPECT_EQ(runner.profile().phases.total(), 0u);
     const std::string telJson = runner.telemetry().toJson().dump();
     EXPECT_EQ(telJson.find("\"prof\""), std::string::npos);
@@ -415,7 +285,7 @@ TEST(ProfRunner, UnprofiledSweepOmitsProfFields)
 TEST(ProfRunner, ProfilingDoesNotPerturbSweepDocument)
 {
     // The acceptance bar for the whole subsystem: the deterministic
-    // sweep JSON must be byte-identical with and without --prof.
+    // sweep JSON must be byte-identical with and without --prof-out.
     exp::Sweep sweep = exp::figureSweep(13, /*ops=*/60, /*cores=*/4,
                                         /*seed=*/5);
     sweep.jobs.resize(6);

@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "flags.hh"
 
@@ -110,9 +111,11 @@ usage(const char *argv0)
         "                    deterministic output)\n"
         "  --trace FILE      write a Chrome/Perfetto trace of one job\n"
         "  --trace-job ID    which job to trace (default: first);\n"
-        "                    ID is \"<workload>/<config>/s<seed>\"\n"
+        "                    ID is \"<workload>/<config>/s<seed>\" "
+        "(needs --trace)\n"
         "  --trace-flags F   comma-separated span categories "
-        "(default all)\n"
+        "(default all;\n"
+        "                    needs --trace)\n"
         "  --interval N      interval-stat window in ticks for the "
         "traced job\n"
         "                    (default 5000; needs --trace)\n"
@@ -124,19 +127,10 @@ usage(const char *argv0)
         "tools/README.md)\n"
         "  --progress        live one-line telemetry to stderr while "
         "running\n"
-        "  --prof            host-time profiling: phase-tag SIGPROF "
-        "sampler\n"
-        "                    + per-job hardware counters (perf_event "
-        "with\n"
-        "                    getrusage/clock fallback); breakdown goes "
-        "to\n"
-        "                    --prof-out\n"
-        "  --prof-out FILE   write the profile JSON (implies --prof); "
-        "render\n"
-        "                    and diff it with tools/persim_prof\n"
-        "  --prof-hz N       sampling rate, samples per CPU-second "
-        "(default\n"
-        "                    ~1000; the exact period is kept prime)\n"
+        "  --prof-out FILE   sample host time per simulator phase "
+        "(SIGPROF,\n"
+        "                    997 us period) and write the profile "
+        "JSON\n"
         "  --list            print the job grid (or, without --figure,\n"
         "                    every grid name and title) and exit\n"
         "  --quiet           no per-job progress lines\n"
@@ -165,6 +159,7 @@ main(int argc, char **argv)
     std::string traceFile;
     std::string traceJob;
     std::string traceFlags = "all";
+    bool traceFlagsSet = false;
     std::string onlyPattern;
     std::string workloadFilter;
     std::string replayTraceFile;
@@ -172,8 +167,6 @@ main(int argc, char **argv)
     std::string replayDir;
     std::string intervalCsvFile;
     std::string profFile;
-    bool profEnabled = false;
-    unsigned profHz = 0;
     unsigned shardIndex = 1;
     unsigned shardCount = 1;
     Tick intervalTicks = 0;
@@ -245,13 +238,8 @@ main(int argc, char **argv)
             }
         } else if (arg == "--progress")
             liveProgress = true;
-        else if (arg == "--prof")
-            profEnabled = true;
-        else if (arg == "--prof-out") {
+        else if (arg == "--prof-out")
             profFile = value("--prof-out");
-            profEnabled = true;
-        } else if (arg == "--prof-hz")
-            profHz = parseNumU32("--prof-hz", value("--prof-hz"));
         else if (arg == "--interval") {
             intervalTicks = parseNum("--interval", value("--interval"));
             intervalSet = true;
@@ -261,9 +249,10 @@ main(int argc, char **argv)
             traceFile = value("--trace");
         else if (arg == "--trace-job")
             traceJob = value("--trace-job");
-        else if (arg == "--trace-flags")
+        else if (arg == "--trace-flags") {
             traceFlags = value("--trace-flags");
-        else if (arg == "--list")
+            traceFlagsSet = true;
+        } else if (arg == "--list")
             listOnly = true;
         else if (arg == "--quiet")
             quiet = true;
@@ -312,17 +301,26 @@ main(int argc, char **argv)
                              "(simulation runs in a child process)\n");
         return 2;
     }
+    if (traceFile.empty()) {
+        // Each of these shapes the trace capture; without --trace it
+        // would be silently ignored (the CSV would hold only a header).
+        const std::pair<bool, const char *> needsTrace[] = {
+            {!traceJob.empty(), "--trace-job"},
+            {traceFlagsSet, "--trace-flags"},
+            {intervalSet, "--interval"},
+            {!intervalCsvFile.empty(), "--interval-csv"},
+        };
+        for (const auto &[given, flag] : needsTrace) {
+            if (given) {
+                std::fprintf(stderr, "%s needs --trace FILE\n", flag);
+                return 2;
+            }
+        }
+    }
     try {
         trace::Recorder{traceFlags}; // refuses an unknown category
     } catch (const SimFatal &e) {
         std::fprintf(stderr, "--trace-flags: %s\n", e.what());
-        return 2;
-    }
-    if (!intervalCsvFile.empty() && traceFile.empty()) {
-        // Counter samples ride the trace capture; without it the CSV
-        // would hold only a header.
-        std::fprintf(stderr, "--interval-csv needs --trace FILE "
-                             "(counter samples ride the trace capture)\n");
         return 2;
     }
     if (resume && outFile.empty()) {
@@ -416,7 +414,7 @@ main(int argc, char **argv)
         }
 
         // A --trace-job that names no job would write an empty trace.
-        if (!traceJob.empty() && !traceFile.empty() &&
+        if (!traceJob.empty() &&
             std::none_of(sweep.jobs.begin(), sweep.jobs.end(),
                          [&](const auto &spec) {
                              return spec.id() == traceJob;
@@ -460,26 +458,13 @@ main(int argc, char **argv)
         opts.isolate = isolate;
         opts.progress = !quiet;
         opts.liveProgress = liveProgress;
-        opts.prof = profEnabled;
-        if (profHz > 0) {
-            // Nudge to the nearest smaller odd period so the sampler
-            // cannot phase-lock with periodic simulator behavior.
-            unsigned period = 1000000 / profHz;
-            if (period == 0)
-                period = 1;
-            if (period > 2 && period % 2 == 0)
-                --period;
-            opts.profPeriodUsec = period;
-        }
+        opts.prof = !profFile.empty();
         if (!traceFile.empty()) {
             opts.traceFlags = traceFlags;
             opts.traceJobId = traceJob;
             // Counter sampling rides the trace capture: default to a
             // 5000-tick window unless --interval says otherwise.
             opts.counterWindow = intervalSet ? intervalTicks : 5000;
-        } else if (intervalSet && intervalTicks > 0) {
-            std::fprintf(stderr,
-                         "--interval has no effect without --trace\n");
         }
 
         // Crash-safe journal: every completed cell becomes durable in
@@ -665,13 +650,11 @@ main(int argc, char **argv)
             os << '\n';
             const prof::SweepProfile &p = runner.profile();
             std::fprintf(stderr,
-                         "wrote %s (%llu samples, %.1f%% attributed, "
-                         "counters: %s)\n",
+                         "wrote %s (%llu samples, %.1f%% attributed)\n",
                          profFile.c_str(),
                          static_cast<unsigned long long>(
                              p.phases.total()),
-                         100.0 * p.attributionRatio(),
-                         p.counters.source.c_str());
+                         100.0 * p.attributionRatio());
         }
         if (!timingFile.empty()) {
             exp::JsonValue timing = runner.telemetry().toJson();
