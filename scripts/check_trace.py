@@ -25,6 +25,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -209,22 +210,6 @@ def obs_traced_sweep():
     expect(not errors, "\n".join(errors[:20]))
 
 
-def obs_shards_partition():
-    """Sharded sweeps merge to exactly the full grid."""
-    grid = ("--figure", 13, "--ops", 50, "--cores", 2, "--jobs", 1,
-            "--quiet", "--no-stats")
-    sweep(*grid, "--out", "full.json")
-    full = {j["id"] for j in load("full.json")["jobs"]}
-    merged = set()
-    for s in (1, 2, 3):
-        sweep(*grid, "--shard", f"{s}/3", "--out", f"shard{s}.json")
-        part = {j["id"] for j in load(f"shard{s}.json")["jobs"]}
-        expect(not merged & part, "shards overlap")
-        merged |= part
-    expect(merged == full, "shards do not cover the grid")
-    print(f"shards partition {len(full)} jobs exactly")
-
-
 def prof_profiled_sweep():
     """--prof-out leaves the sweep document alone and writes phase
     samples, at least 90% of them on a named phase, and nothing else."""
@@ -242,8 +227,6 @@ def prof_profiled_sweep():
     expect(ratio >= 0.90, f"attribution {100 * ratio:.1f}%")
 
 
-# The fault checks assert signal death, which a sanitizer runtime
-# intercepts: sanitizer builds skip them (ctest -LE fault).
 FAULT_GRID = ("--figure", 11, "--ops", 50, "--cores", 4)
 FAULT_HASH = FAULT_GRID + ("--workload", "hash", "--retries", 0,
                            "--quiet")
@@ -275,24 +258,35 @@ def fault_watchdog_times_out_hang():
     expect(states.count("timed-out") == 1, states)
 
 
-def fault_isolate_contains_segv():
-    """--isolate contains a segfault to one cell."""
-    one_failed_cell("segv:2", "segv.json", "signal: SIGSEGV", "--isolate")
-
-
-def fault_isolate_byte_identical():
-    """An isolated green sweep is byte-identical to an in-process one."""
-    same_runs("iso", FAULT_GRID + ("--jobs", 2, "--quiet"), (),
-              ("--isolate",))
+def killed_mid_grid(out):
+    """Run FAULT_GRID into @p out with cell 1 hung and no watchdog, and
+    SIGKILL the sweep once its journal holds the header and a completed
+    cell. The hang keeps the sweep from finishing first."""
+    cmd = [os.path.join(BIN, "persim_sweep"), *map(str, FAULT_GRID),
+           "--jobs", "1", "--retries", "0", "--quiet", "--out", out]
+    print("+ PERSIM_FAULT=hang:1", " ".join(cmd), flush=True)
+    p = subprocess.Popen(cmd, env=dict(os.environ, PERSIM_FAULT="hang:1"))
+    journal = out + ".journal"
+    deadline = time.monotonic() + 120
+    try:
+        while True:
+            expect(p.poll() is None, f"sweep exited {p.returncode} early")
+            expect(time.monotonic() < deadline, "journal never grew")
+            if os.path.exists(journal):
+                with open(journal) as f:
+                    if sum(1 for _ in f) >= 2:
+                        break
+            time.sleep(0.02)
+    finally:
+        p.kill()
+        p.wait()
 
 
 def fault_resume_after_crash():
-    """A crash leaves a journal; --resume finishes byte-identical."""
+    """A sweep killed mid-grid leaves a journal; --resume finishes
+    byte-identical."""
     sweep(*FAULT_GRID, "--quiet", "--out", "resume_ref.json")
-    rc = sweep(*FAULT_GRID, "--retries", 0, "--quiet",
-               "--out", "resume.json", status=None,
-               env={"PERSIM_FAULT": "segv:1"})
-    expect(rc > 1, f"exit {rc}: expected death by signal")
+    killed_mid_grid("resume.json")
     expect(not os.path.exists("resume.json"), "torn output document")
     expect(os.path.getsize("resume.json.journal") > 0, "empty journal")
     sweep(*FAULT_GRID, "--quiet", "--resume", "--out", "resume.json")
@@ -303,8 +297,7 @@ def fault_resume_after_crash():
 
 def fault_resume_refuses_changed_grid():
     """--resume refuses a journal written for another grid."""
-    sweep(*FAULT_GRID, "--retries", 0, "--quiet", "--out", "mm.json",
-          status=None, env={"PERSIM_FAULT": "segv:1"})
+    killed_mid_grid("mm.json")
     rc = sweep("--figure", 11, "--ops", 60, "--cores", 4, "--quiet",
                "--resume", "--out", "mm.json", status=None)
     expect(rc != 0, "resume accepted a mismatched grid")
@@ -371,14 +364,12 @@ def soak_fig13_fig14_seeds():
     expect(not failed, f"{len(failed)} failed cell(s)")
 
 
-# Check "obs.shards_partition" is the function obs_shards_partition; its
-# ctest entry carries the same name.
+# Check "obs.traced_sweep" is the function obs_traced_sweep; its ctest
+# entry carries the same name.
 CHECKS = {f.__name__.replace("_", ".", 1): f for f in (
     smoke_jobs_deterministic, smoke_hot_path_deterministic,
-    obs_traced_sweep, obs_shards_partition,
-    prof_profiled_sweep,
+    obs_traced_sweep, prof_profiled_sweep,
     fault_throw_costs_one_cell, fault_watchdog_times_out_hang,
-    fault_isolate_contains_segv, fault_isolate_byte_identical,
     fault_resume_after_crash, fault_resume_refuses_changed_grid,
     trace_fig11_capture_replay, trace_fig14_capture_replay,
     trace_fixture_validates, trace_seeds_table_ci,

@@ -81,7 +81,8 @@ Core::issueLoad(Addr addr)
 {
     ++_loads;
     ++_ops;
-    if (_wb.containsLine(addr) || inflightContains(lineNum(addr))) {
+    if (_wb.containsLine(addr) ||
+        (_draining && _drainLine == lineNum(addr))) {
         ++_forwards;
         scheduleIn(1, [this, addr] {
             _workload->onLoadComplete(addr, curTick());
@@ -134,7 +135,7 @@ Core::issueBarrier()
     // barrier must complete (and so tag the closing epoch) first. The
     // expensive part — waiting for persists — still only happens under
     // blocking (EP) barriers.
-    if (!_wb.empty() || _drainInflight != 0) {
+    if (!_wb.empty() || _draining) {
         _barrierPending = true;
         return; // onDrainComplete() resumes
     }
@@ -150,40 +151,37 @@ Core::barrierAfterDrain()
 void
 Core::pumpDrain()
 {
-    // Stores complete strictly in order (TSO write buffer); the RFO
-    // prefetch issued at execution time supplies the miss overlap.
-    const unsigned ways = 1;
-    while (_drainInflight < ways && !_wb.empty()) {
-        const Addr addr = _wb.front().addr;
-        _wb.pop();
-        ++_drainInflight;
-        inflightAdd(lineNum(addr));
-        _l1->access(addr, true, [this, addr] {
-            if (_cfg.writeThrough) {
-                // Naive strict persistency: the store is not complete
-                // until its line is durable. The write carries no epoch
-                // tag; SP's ordering is structural (serial drain).
-                _l1->issueNvmWrite(addr, kNoCore, kNoEpoch, false,
-                                   [this, addr] {
-                                       onDrainComplete(addr);
-                                   });
-            } else {
-                onDrainComplete(addr);
-            }
-        });
-    }
+    // Stores complete strictly in order (TSO write buffer), one at a
+    // time; the RFO prefetch issued at execution time supplies the
+    // miss overlap.
+    if (_draining || _wb.empty())
+        return;
+    const Addr addr = _wb.front().addr;
+    _wb.pop();
+    _draining = true;
+    _drainLine = lineNum(addr);
+    _l1->access(addr, true, [this, addr] {
+        if (_cfg.writeThrough) {
+            // Naive strict persistency: the store is not complete
+            // until its line is durable. The write carries no epoch
+            // tag; SP's ordering is structural (serial drain).
+            _l1->issueNvmWrite(addr, kNoCore, kNoEpoch, false,
+                               [this] { onDrainComplete(); });
+        } else {
+            onDrainComplete();
+        }
+    });
 }
 
 void
-Core::onDrainComplete(Addr addr)
+Core::onDrainComplete()
 {
-    --_drainInflight;
-    inflightRemove(lineNum(addr));
+    _draining = false;
     if (_stalledOnWb) {
         _stalledOnWb = false;
         issueStore(_pendingStoreAddr);
     }
-    if (_wb.empty() && _drainInflight == 0) {
+    if (_wb.empty() && !_draining) {
         if (_barrierPending) {
             _barrierPending = false;
             barrierAfterDrain();
@@ -195,42 +193,9 @@ Core::onDrainComplete(Addr addr)
 }
 
 void
-Core::inflightAdd(Addr line)
-{
-    for (unsigned i = 0; i < _inflightCount; ++i) {
-        if (_inflightLines[i].line == line) {
-            ++_inflightLines[i].refs;
-            return;
-        }
-    }
-    simAssert(_inflightCount < _inflightLines.size(), name(),
-              ": in-flight line table overflow (raise the array size "
-              "alongside the drain-way count)");
-    _inflightLines[_inflightCount].line = line;
-    _inflightLines[_inflightCount].refs = 1;
-    ++_inflightCount;
-}
-
-void
-Core::inflightRemove(Addr line)
-{
-    for (unsigned i = 0; i < _inflightCount; ++i) {
-        if (_inflightLines[i].line != line)
-            continue;
-        if (--_inflightLines[i].refs == 0) {
-            _inflightLines[i] = _inflightLines[_inflightCount - 1];
-            --_inflightCount;
-        }
-        return;
-    }
-    panic(name(), ": in-flight line 0x", std::hex, line << kLineShift,
-          std::dec, " completed without a table entry");
-}
-
-void
 Core::maybeDone()
 {
-    if (_halted && _wb.empty() && _drainInflight == 0 &&
+    if (_halted && _wb.empty() && !_draining &&
         _doneTick == kTickNever) {
         _doneTick = curTick();
         if (trace::probing()) [[unlikely]]

@@ -6,7 +6,6 @@
 #ifndef PERSIM_CPU_CORE_HH
 #define PERSIM_CPU_CORE_HH
 
-#include <array>
 #include <string>
 
 #include "cpu/mem_op.hh"
@@ -80,7 +79,7 @@ class Core : public SimObject
     /** The workload returned Halt and the write buffer drained. */
     bool done() const
     {
-        return _halted && _wb.empty() && _drainInflight == 0;
+        return _halted && _wb.empty() && !_draining;
     }
     bool halted() const { return _halted; }
 
@@ -102,9 +101,9 @@ class Core : public SimObject
     void issueBarrier();
     /** Barrier phase 2: the write buffer drained; close the epoch. */
     void barrierAfterDrain();
-    /** Issue drains until drainWays are outstanding. */
+    /** Drain the write buffer's head unless a drain is in flight. */
     void pumpDrain();
-    void onDrainComplete(Addr addr);
+    void onDrainComplete();
     void maybeDone();
 
     CoreId _id;
@@ -118,32 +117,10 @@ class Core : public SimObject
     bool _stalledOnWb = false;
     bool _barrierPending = false;
     Addr _pendingStoreAddr = 0;
-    unsigned _drainInflight = 0;
-    /**
-     * Lines with an in-flight drained store (load forwarding). The
-     * drain pump keeps at most drainWays (= 1) stores outstanding, so
-     * a tiny fixed scan array replaces the hash map the per-op path
-     * used to probe; slots is sized with slack and overflow panics.
-     */
-    struct InflightLine
-    {
-        Addr line = 0;
-        unsigned refs = 0;
-    };
-    std::array<InflightLine, 4> _inflightLines{};
-    unsigned _inflightCount = 0;
-
-    bool
-    inflightContains(Addr line) const
-    {
-        for (unsigned i = 0; i < _inflightCount; ++i) {
-            if (_inflightLines[i].line == line)
-                return true;
-        }
-        return false;
-    }
-    void inflightAdd(Addr line);
-    void inflightRemove(Addr line);
+    /** A drained store is in flight; stores drain one at a time. */
+    bool _draining = false;
+    /** Line of the in-flight drained store (load forwarding). */
+    Addr _drainLine = 0;
 
     Tick _startTick = 0;
     Tick _doneTick = kTickNever;

@@ -1,7 +1,6 @@
 #include "exp/fault.hh"
 
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -11,24 +10,6 @@
 
 namespace persim::exp::fault
 {
-
-const char *
-kindName(Kind k)
-{
-    switch (k) {
-      case Kind::None:
-        return "none";
-      case Kind::Throw:
-        return "throw";
-      case Kind::Hang:
-        return "hang";
-      case Kind::Segv:
-        return "segv";
-      case Kind::Abort:
-        return "abort";
-    }
-    return "unknown";
-}
 
 Spec
 parse(std::string_view text)
@@ -45,12 +26,8 @@ parse(std::string_view text)
         spec.kind = Kind::Throw;
     else if (kind == "hang")
         spec.kind = Kind::Hang;
-    else if (kind == "segv")
-        spec.kind = Kind::Segv;
-    else if (kind == "abort")
-        spec.kind = Kind::Abort;
     else
-        fatal("PERSIM_FAULT kind must be throw|hang|segv|abort, got '",
+        fatal("PERSIM_FAULT kind must be throw|hang, got '",
               std::string(kind), "'");
 
     if (index.empty())
@@ -93,16 +70,11 @@ maybeInject(std::size_t jobIndex, const std::atomic<bool> *cancel)
         // A cancellable hang: the loop does nothing but watch the
         // watchdog flag, which is exactly the contract the in-process
         // watchdog can break. Without a flag this never returns and
-        // only an external kill (the sandbox path) ends the job.
+        // only an external kill ends the process.
         while (!(cancel &&
                  cancel->load(std::memory_order_relaxed)))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         throw SimCancelled("injected fault: hang cancelled by watchdog");
-      case Kind::Segv:
-        std::raise(SIGSEGV);
-        break;
-      case Kind::Abort:
-        std::abort();
       case Kind::None:
         break;
     }

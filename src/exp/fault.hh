@@ -2,9 +2,9 @@
  * @file
  * Deterministic fault injection for the sweep harness.
  *
- * The fault-tolerance machinery (watchdog, sandbox isolation, journal
- * resume) is only trustworthy if it is exercised against real faults,
- * so the environment variable
+ * The fault-tolerance machinery (retries, watchdog, journal resume) is
+ * only trustworthy if it is exercised against real faults, so the
+ * environment variable
  *
  *     PERSIM_FAULT=<kind>:<jobIndex>
  *
@@ -12,11 +12,10 @@
  * with that grid index. Kinds:
  *
  *     throw  - throw a std::runtime_error ("injected fault: throw")
- *     hang   - spin until the watchdog's cancel flag fires (or, with
- *              no watchdog, forever - an external kill is required),
- *              then surface as a timeout
- *     segv   - raise SIGSEGV (contained only by --isolate)
- *     abort  - std::abort() (contained only by --isolate)
+ *     hang   - spin until the watchdog's cancel flag fires, then
+ *              surface as a timeout; with no watchdog it never returns
+ *              and only an external kill ends the process (the resume
+ *              check kills a sweep this way)
  *
  * The hook is keyed by job index, not id, so the same injection works
  * unchanged across figures and filters; an index of SIZE_MAX (the
@@ -40,8 +39,6 @@ enum class Kind
     None,
     Throw,
     Hang,
-    Segv,
-    Abort,
 };
 
 /** One parsed injection directive. */
@@ -50,8 +47,6 @@ struct Spec
     Kind kind = Kind::None;
     std::size_t jobIndex = 0;
 };
-
-const char *kindName(Kind k);
 
 /**
  * Parse "<kind>:<jobIndex>"; throws SimFatal naming the defect on

@@ -2,10 +2,9 @@
  * @file
  * Crash-safe sweep journal and the outcome wire codec.
  *
- * A multi-hour sweep must survive the death of its own process: a
- * segfaulting cell (without isolation), an OOM kill, a ctrl-C, a node
- * reboot. The journal makes every finished cell durable the moment it
- * completes:
+ * A multi-hour sweep must survive the death of its own process: an
+ * OOM kill, a ctrl-C, a node reboot. The journal makes every finished
+ * cell durable the moment it completes:
  *
  *   - `<out>.journal` is append-only. Line 1 is a header binding the
  *     journal to one exact grid (sweep name, job count, and a
@@ -44,10 +43,9 @@ namespace persim::exp
 {
 
 /**
- * Full-fidelity serialization of one JobOutcome for the journal and
- * the sandbox pipe: everything JobOutcome::toJson() emits plus
- * wallMs, so figure tables and telemetry can be rebuilt without
- * re-running the cell.
+ * Full-fidelity serialization of one JobOutcome for the journal:
+ * everything JobOutcome::toJson() emits plus wallMs, so figure tables
+ * and telemetry can be rebuilt without re-running the cell.
  */
 JsonValue outcomeToWire(const JobOutcome &outcome);
 

@@ -7,11 +7,8 @@
 #include <exception>
 #include <thread>
 
-#include <signal.h>
-
 #include "exp/fault.hh"
 #include "exp/journal.hh"
-#include "exp/sandbox.hh"
 #include "exp/stats_export.hh"
 #include "prof/phase.hh"
 #include "prof/sampler.hh"
@@ -234,15 +231,13 @@ SweepRunner::run(const Sweep &sweep)
     // attemptStartMs holds msSince(start)+1 for the running attempt
     // (0 = no attempt in flight, so the epoch itself can never read as
     // idle); cancel is the cooperative cancel handshake with
-    // model::System; childPid names the live sandbox child (if any) so
-    // an over-deadline job can be SIGKILLed.
+    // model::System.
     struct JobSlot
     {
         std::atomic<unsigned char> state{
             static_cast<unsigned char>(JobState::Queued)};
         std::atomic<std::uint64_t> attemptStartMs{0};
         std::atomic<bool> cancel{false};
-        std::atomic<int> childPid{0};
     };
     std::vector<JobSlot> slots(total);
 
@@ -264,9 +259,6 @@ SweepRunner::run(const Sweep &sweep)
                 began)
                 continue;
             slot.cancel.store(true, std::memory_order_relaxed);
-            const int pid = slot.childPid.load(std::memory_order_relaxed);
-            if (pid > 0)
-                ::kill(static_cast<pid_t>(pid), SIGKILL);
         }
     };
 
@@ -276,10 +268,6 @@ SweepRunner::run(const Sweep &sweep)
         std::size_t counts[kJobStateCount] = {};
         for (const JobSlot &slot : slots)
             ++counts[slot.state.load(std::memory_order_relaxed)];
-        // A sandbox child doing useful work is "running" as far as a
-        // human watching progress is concerned.
-        counts[static_cast<unsigned>(JobState::Running)] +=
-            counts[static_cast<unsigned>(JobState::Isolated)];
         const double evPerSec =
             elapsed > 0.0
                 ? static_cast<double>(doneEvents.load()) * 1e3 / elapsed
@@ -341,8 +329,6 @@ SweepRunner::run(const Sweep &sweep)
     }
 
     const unsigned maxAttempts = _opts.maxAttempts ? _opts.maxAttempts : 1;
-    const JobState attemptState =
-        _opts.isolate ? JobState::Isolated : JobState::Running;
     WorkStealingPool pool(_opts.jobs, total);
     pool.run([&](std::size_t index, unsigned worker) {
         const ExperimentSpec &spec = sweep.jobs[index];
@@ -352,10 +338,7 @@ SweepRunner::run(const Sweep &sweep)
                              std::memory_order_relaxed);
         };
 
-        // Tracing records in-process simulation events, which a
-        // sandbox child cannot deliver back; --isolate sweeps run
-        // untraced (persim_sweep refuses the combination up front).
-        const bool tracing = !_opts.isolate && index == traceIndex;
+        const bool tracing = index == traceIndex;
         if (tracing)
             trace::attachRecorder(_recorder.get());
 
@@ -365,8 +348,7 @@ SweepRunner::run(const Sweep &sweep)
             prof::Sampler::attachThread();
 
         // The only retry loop. Backoff, the deadline clock and the
-        // timeout verdict live here, outside the attempt, so they
-        // survive any way a sandbox child can die.
+        // timeout verdict live here, outside the attempt.
         JobOutcome outcome;
         for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
             if (attempt > 1) {
@@ -380,17 +362,13 @@ SweepRunner::run(const Sweep &sweep)
             slot.attemptStartMs.store(
                 static_cast<std::uint64_t>(msSince(start)) + 1,
                 std::memory_order_relaxed);
-            setState(attemptState);
-            outcome = _opts.isolate
-                          ? runJobSandboxed(spec, index, &slot.childPid)
-                          : runJob(spec, index, &slot.cancel);
+            setState(JobState::Running);
+            outcome = runJob(spec, index, &slot.cancel);
             slot.attemptStartMs.store(0, std::memory_order_relaxed);
             outcome.attempts = attempt;
             if (!outcome.ok &&
                 slot.cancel.load(std::memory_order_relaxed)) {
-                // The watchdog fired during this attempt; a sandbox
-                // child it SIGKILLed reports as a timeout, not as an
-                // anonymous signal.
+                // The watchdog fired during this attempt.
                 outcome.timedOut = true;
                 outcome.error = "timeout";
             }
@@ -414,9 +392,6 @@ SweepRunner::run(const Sweep &sweep)
         JobTelemetry &jt = _telemetry.jobs[index];
         jt.id = spec.id();
         jt.state = finalState;
-        jt.isolated = _opts.isolate;
-        jt.exitCode = outcome.exitCode;
-        jt.termSignal = outcome.termSignal;
         jt.attempts = outcome.attempts;
         jt.worker = worker;
         jt.wallMs = outcome.wallMs;

@@ -16,29 +16,25 @@
  * what keeps all cores busy until the tail.
  *
  * Jobs are isolated: an exception inside one job (bad config, panic,
- * bug) is caught, retried up to maxAttempts times with bounded
- * exponential backoff, and recorded as a failed outcome; it never
- * takes down the sweep. One attempt loop in SweepRunner::run serves
- * in-process and sandboxed cells alike; each attempt is one runJob or
- * runJobSandboxed call. Two optional layers harden that guarantee
- * against faults exceptions cannot catch:
+ * fatal, failed simAssert — all of which throw) is caught, retried up
+ * to maxAttempts times with bounded exponential backoff, and recorded
+ * as a failed outcome; it never takes down the sweep. The attempt
+ * loop in SweepRunner::run is the only way a cell runs; each attempt
+ * is one runJob call on a worker thread.
  *
- *   - Watchdog (RunnerOptions::jobTimeoutMs): a polling thread tracks
- *     every attempt's deadline and flips a per-job cancel flag that
- *     System::run polls, so a runaway cell becomes a failed outcome
- *     (error "timeout") instead of a stuck sweep. The same thread
- *     prints the --progress line; it runs only when one of the two is
- *     on.
- *   - Sandbox isolation (RunnerOptions::isolate): each job forks into
- *     a child that streams its JobOutcome JSON back over a pipe, so a
- *     segfault/abort/OOM kills one cell (exit status and signal name
- *     recorded) instead of the whole process. The watchdog SIGKILLs
- *     over-deadline children.
+ * The watchdog (RunnerOptions::jobTimeoutMs) covers cells that never
+ * throw: a polling thread tracks every attempt's deadline and flips a
+ * per-job cancel flag that System::run polls, so a runaway cell
+ * becomes a failed outcome (error "timeout") instead of a stuck
+ * sweep. The same thread prints the --progress line; it runs only
+ * when one of the two is on. A hang with no watchdog ends only by an
+ * external kill of the process.
  *
- * With RunnerOptions::journal set, every completed cell is appended
- * to a crash-safe journal (one fsync'd JSON line per job) so an
- * interrupted sweep can resume without re-running finished cells
- * (exp/journal.hh, persim_sweep --resume).
+ * What kills the process itself (OOM kill, ctrl-C, reboot) is covered
+ * by the journal: with RunnerOptions::journal set, every completed
+ * cell is appended to a crash-safe journal (one fsync'd JSON line per
+ * job) so an interrupted sweep can resume without re-running finished
+ * cells (exp/journal.hh, persim_sweep --resume).
  */
 
 #ifndef PERSIM_EXP_RUNNER_HH
@@ -88,15 +84,6 @@ struct JobOutcome
      */
     bool timedOut = false;
 
-    /**
-     * Sandbox child's exit status (isolated jobs that exited; -1
-     * otherwise) and terminating signal name ("SIGSEGV", "" = none).
-     * Serialized only for failed jobs, so a green isolated sweep is
-     * byte-identical to an in-process one.
-     */
-    int exitCode = -1;
-    std::string termSignal;
-
     model::SimResult result;
 
     /** Structured StatGroup tree (statGroupsToJson). */
@@ -114,7 +101,7 @@ struct JobOutcome
 
 /**
  * Run one attempt of @p spec synchronously on the calling thread.
- * Retries belong to SweepRunner::run; a sandbox child calls this too.
+ * Retries belong to SweepRunner::run.
  *
  * @param gridIndex Grid index of the job, used by the PERSIM_FAULT
  *                  injection hook (exp/fault.hh). SIZE_MAX (the
@@ -196,21 +183,10 @@ struct RunnerOptions
      * attempt by a monitor thread; 0 disables the watchdog. A
      * timed-out attempt is recorded exactly like a thrown exception
      * (error "timeout", telemetry state "timed-out") and retried up
-     * to maxAttempts. In-process enforcement is cooperative
-     * (System::run polls between events); with isolate the child is
-     * SIGKILLed, which also contains hangs inside a single event.
+     * to maxAttempts. Enforcement is cooperative: System::run polls
+     * the cancel flag between events.
      */
     unsigned jobTimeoutMs = 0;
-
-    /**
-     * Fork every job into a sandbox child process (exp/sandbox.hh).
-     * A crash (segfault, abort, OOM kill) becomes one failed cell
-     * with the exit status / signal name in its outcome instead of a
-     * dead sweep. Successful cells produce byte-identical sweep JSON
-     * either way. Per-job tracing and phase samples do not cross the
-     * fork, so --trace/--prof-out readouts cover only the parent.
-     */
-    bool isolate = false;
 
     /**
      * When set, every completed (ok) job is appended to this journal

@@ -1,6 +1,5 @@
 #include "exp/spec.hh"
 
-#include "sim/logging.hh"
 #include "workload/trace/trace_capture.hh"
 #include "workload/workload_factory.hh"
 
@@ -125,22 +124,6 @@ Sweep::crossSeeds(const std::vector<std::uint64_t> &seeds)
         }
     }
     jobs = std::move(expanded);
-}
-
-void
-Sweep::shard(unsigned index, unsigned count)
-{
-    if (count <= 1)
-        return;
-    simAssert(index >= 1 && index <= count, "shard ", index, "/", count,
-              ": index must be in [1, count]");
-    std::vector<ExperimentSpec> kept;
-    kept.reserve(jobs.size() / count + 1);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (j % count == index - 1)
-            kept.push_back(std::move(jobs[j]));
-    }
-    jobs = std::move(kept);
 }
 
 std::uint64_t

@@ -139,18 +139,6 @@ struct Sweep
      * from its base seed and the entry in @p seeds.
      */
     void crossSeeds(const std::vector<std::uint64_t> &seeds);
-
-    /**
-     * Keep only shard @p index (1-based) of @p count round-robin
-     * shards: job j survives iff j % count == index - 1. Applied after
-     * any grid expansion, the partition is deterministic, disjoint, and
-     * exhaustive, so N processes running --shard 1/N .. N/N cover the
-     * grid exactly once and their outputs can be merged (see
-     * tools/README.md for the jq recipe). Round-robin (not block)
-     * assignment spreads each workload row's expensive cells across
-     * shards. No-op when count <= 1.
-     */
-    void shard(unsigned index, unsigned count);
 };
 
 /** Deterministic seed mixing (splitmix64) for derived per-job seeds. */

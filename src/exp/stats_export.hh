@@ -62,8 +62,8 @@ double sumStat(const JsonValue &statTree, const StatRef &ref,
 JsonValue simResultToJson(const model::SimResult &res);
 
 /**
- * Rebuild a SimResult from simResultToJson() output (journal resume,
- * sandbox pipe). Derived fields ("throughput") are recomputed, so
+ * Rebuild a SimResult from simResultToJson() output (journal
+ * resume). Derived fields ("throughput") are recomputed, so
  * simResultToJson(simResultFromJson(j)) == j byte for byte. Missing
  * members keep their defaults.
  */

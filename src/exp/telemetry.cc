@@ -120,8 +120,6 @@ jobStateName(JobState s)
         return "failed";
       case JobState::TimedOut:
         return "timed-out";
-      case JobState::Isolated:
-        return "isolated";
     }
     return "unknown";
 }
@@ -137,13 +135,6 @@ JobTelemetry::toJson() const
     out["wallMs"] = JsonValue(wallMs);
     out["events"] = JsonValue(events);
     out["rssAfterKb"] = JsonValue(rssAfterKb);
-    if (isolated) {
-        out["isolated"] = JsonValue(true);
-        if (exitCode >= 0)
-            out["exitCode"] = JsonValue(exitCode);
-        if (!termSignal.empty())
-            out["signal"] = JsonValue(termSignal);
-    }
     return out;
 }
 

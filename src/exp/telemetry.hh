@@ -62,12 +62,10 @@ enum class JobState : unsigned char
     Failed,
     /** Final attempt cancelled by the per-job watchdog. */
     TimedOut,
-    /** Currently running inside a sandbox child (--isolate). */
-    Isolated,
 };
 
 /** Number of JobState values (size of per-state count arrays). */
-inline constexpr std::size_t kJobStateCount = 7;
+inline constexpr std::size_t kJobStateCount = 6;
 
 const char *jobStateName(JobState s);
 
@@ -84,13 +82,6 @@ struct JobTelemetry
     std::uint64_t events = 0;
     /** Process RSS right after the job finished, kB. */
     std::uint64_t rssAfterKb = 0;
-
-    /** The job ran in a sandbox child (--isolate). */
-    bool isolated = false;
-
-    /** Sandbox child's exit status (-1 = n/a) and fatal signal (""). */
-    int exitCode = -1;
-    std::string termSignal;
 
     JsonValue toJson() const;
 };

@@ -4,9 +4,15 @@
  *
  * BEP's guarantee (§5.1) is that after a crash at any instant, the
  * persistent image corresponds to a prefix of each thread's epochs
- * (plus the inter-thread dependence closure). BSP's guarantee (§5.2)
- * is the same at hardware-epoch granularity, with the undo log covering
+ * plus the inter-thread dependence closure. BSP's guarantee (§5.2) is
+ * the same at hardware-epoch granularity, with the undo log covering
  * the one partially-persisted epoch per core.
+ *
+ * Only the per-core half is checked here: the persist log records
+ * durable writes but no inter-thread edges, so consistency means each
+ * core's durable lines form an epoch prefix (at most one partial epoch
+ * at the end). Checking the closure needs the edges in the log; see
+ * ROADMAP.md, "Streaming recovery, with the cross-core closure".
  *
  * RecoveryAnalysis replays a persist log (recorded by the ordering
  * checker when SystemConfig::keepPersistLog is set) up to an arbitrary

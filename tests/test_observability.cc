@@ -2,9 +2,9 @@
  * @file
  * Tests for the observability layer: duration-span capture and Chrome
  * trace export (B/E pairing, lane splaying, counter tracks), the
- * interval sampler, host telemetry (RSS, per-job state), sweep
- * sharding, the component[index] track-naming scheme, and the zero-cost
- * guarantee of the disabled probe path.
+ * interval sampler, host telemetry (RSS, per-job state), the
+ * component[index] track-naming scheme, and the zero-cost guarantee of
+ * the disabled probe path.
  */
 
 #include <gtest/gtest.h>
@@ -379,41 +379,6 @@ TEST(ObsNaming, StatKeysUseComponentIndexScheme)
     }
     EXPECT_TRUE(sawArbiter);
     EXPECT_TRUE(sawRouter);
-}
-
-// ---------------------------------------------------------------------
-// Sweep sharding
-// ---------------------------------------------------------------------
-
-TEST(ObsShard, ShardsPartitionTheGridExactly)
-{
-    const Sweep full = exp::figureSweep(13, 10, 2, 1);
-    ASSERT_GT(full.jobs.size(), 4u);
-
-    std::vector<std::string> fullIds;
-    for (const auto &j : full.jobs)
-        fullIds.push_back(j.id());
-    std::sort(fullIds.begin(), fullIds.end());
-
-    const unsigned count = 3;
-    std::vector<std::string> merged;
-    for (unsigned index = 1; index <= count; ++index) {
-        Sweep shard = exp::figureSweep(13, 10, 2, 1);
-        shard.shard(index, count);
-        EXPECT_LT(shard.jobs.size(), full.jobs.size());
-        for (const auto &j : shard.jobs)
-            merged.push_back(j.id());
-    }
-    std::sort(merged.begin(), merged.end());
-    EXPECT_EQ(merged, fullIds); // disjoint and exhaustive
-}
-
-TEST(ObsShard, ShardOneOfOneIsIdentity)
-{
-    Sweep sweep = exp::figureSweep(13, 10, 2, 1);
-    const std::size_t before = sweep.jobs.size();
-    sweep.shard(1, 1);
-    EXPECT_EQ(sweep.jobs.size(), before);
 }
 
 // ---------------------------------------------------------------------

@@ -85,9 +85,6 @@ usage(const char *argv0)
         "                    over-deadline jobs fail with error "
         "'timeout'\n"
         "                    (0 = no watchdog, the default)\n"
-        "  --isolate         fork every job into a sandbox child so a\n"
-        "                    segfault/abort/OOM kills one cell, not the\n"
-        "                    sweep (incompatible with --trace)\n"
         "  --resume          resume an interrupted run from "
         "<out>.journal:\n"
         "                    journaled cells are merged, only the rest "
@@ -121,10 +118,6 @@ usage(const char *argv0)
         "                    (default 5000; needs --trace)\n"
         "  --interval-csv F  write the interval counter samples as CSV\n"
         "                    (needs --trace)\n"
-        "  --shard K/N       run only round-robin shard K of N (1-based);"
-        "\n"
-        "                    merge shard outputs with jq -s (see "
-        "tools/README.md)\n"
         "  --progress        live one-line telemetry to stderr while "
         "running\n"
         "  --prof-out FILE   sample host time per simulator phase "
@@ -151,7 +144,6 @@ main(int argc, char **argv)
     unsigned numSeeds = 1;
     unsigned retries = 1;
     unsigned jobTimeoutMs = 0;
-    bool isolate = false;
     bool resume = false;
     std::string outFile;
     std::string csvFile;
@@ -167,8 +159,6 @@ main(int argc, char **argv)
     std::string replayDir;
     std::string intervalCsvFile;
     std::string profFile;
-    unsigned shardIndex = 1;
-    unsigned shardCount = 1;
     Tick intervalTicks = 0;
     bool intervalSet = false;
     bool includeStats = true;
@@ -210,8 +200,6 @@ main(int argc, char **argv)
         else if (arg == "--job-timeout-ms")
             jobTimeoutMs = parseNumU32("--job-timeout-ms",
                                        value("--job-timeout-ms"));
-        else if (arg == "--isolate")
-            isolate = true;
         else if (arg == "--resume")
             resume = true;
         else if (arg == "--out")
@@ -224,19 +212,7 @@ main(int argc, char **argv)
             includeStats = false;
         else if (arg == "--only")
             onlyPattern = value("--only");
-        else if (arg == "--shard") {
-            const std::string v = value("--shard");
-            if (std::sscanf(v.c_str(), "%u/%u", &shardIndex,
-                            &shardCount) != 2 ||
-                shardCount == 0 || shardIndex == 0 ||
-                shardIndex > shardCount) {
-                std::fprintf(stderr,
-                             "--shard wants K/N with 1 <= K <= N, got "
-                             "'%s'\n",
-                             v.c_str());
-                return 2;
-            }
-        } else if (arg == "--progress")
+        else if (arg == "--progress")
             liveProgress = true;
         else if (arg == "--prof-out")
             profFile = value("--prof-out");
@@ -291,14 +267,6 @@ main(int argc, char **argv)
     if (workloadFilter == "trace" && replayTraceFile.empty()) {
         std::fprintf(stderr,
                      "--workload trace needs --trace-file FILE\n");
-        return 2;
-    }
-    if (isolate && !traceFile.empty()) {
-        // Trace events live in the child's memory and the sandbox pipe
-        // carries only the outcome document, so this combination would
-        // silently write an empty trace.
-        std::fprintf(stderr, "--isolate cannot record --trace "
-                             "(simulation runs in a child process)\n");
         return 2;
     }
     if (traceFile.empty()) {
@@ -393,26 +361,6 @@ main(int argc, char **argv)
             }
         }
 
-        if (shardCount > 1) {
-            const std::size_t before = sweep.jobs.size();
-            sweep.shard(shardIndex, shardCount);
-            std::fprintf(stderr, "shard %u/%u: %zu of %zu jobs\n",
-                         shardIndex, shardCount, sweep.jobs.size(),
-                         before);
-            if (sweep.jobs.empty()) {
-                // A 0-job document would merge cleanly and silently
-                // shrink the figure; refuse loudly instead so merge
-                // scripts can't drop a shard without noticing.
-                std::fprintf(stderr,
-                             "error: shard %u/%u of %s is empty (grid "
-                             "has fewer than %u jobs after filters); "
-                             "no output written\n",
-                             shardIndex, shardCount,
-                             sweep.name.c_str(), shardCount);
-                return 2;
-            }
-        }
-
         // A --trace-job that names no job would write an empty trace.
         if (!traceJob.empty() &&
             std::none_of(sweep.jobs.begin(), sweep.jobs.end(),
@@ -426,7 +374,7 @@ main(int argc, char **argv)
             return 2;
         }
 
-        // Applied after seed expansion / --only / --shard so every
+        // Applied after seed expansion / --only so every
         // surviving job gets its own trace path.
         auto tracePathFor = [&](const exp::ExperimentSpec &spec,
                                 const std::string &dir) {
@@ -455,7 +403,6 @@ main(int argc, char **argv)
         opts.jobs = jobs;
         opts.maxAttempts = 1 + retries;
         opts.jobTimeoutMs = jobTimeoutMs;
-        opts.isolate = isolate;
         opts.progress = !quiet;
         opts.liveProgress = liveProgress;
         opts.prof = !profFile.empty();
@@ -567,14 +514,6 @@ main(int argc, char **argv)
 
         exp::JsonValue doc = exp::sweepToJson(sweep, outcomes,
                                               includeStats);
-        if (shardCount > 1) {
-            // Mark shard membership so merged documents stay
-            // self-describing; unsharded output is unchanged.
-            exp::JsonValue sh = exp::JsonValue::object();
-            sh["index"] = exp::JsonValue(shardIndex);
-            sh["count"] = exp::JsonValue(shardCount);
-            doc["shard"] = std::move(sh);
-        }
         const exp::FigureTable table =
             exp::figureTable(sweep.name, outcomes);
         doc["table"] = exp::figureTableToJson(table);
