@@ -158,7 +158,6 @@ CacheArray::fill(CacheLine &line, Addr addr, CoherenceState state)
                                         _geom.ways),
               _name, ": fill into the wrong set");
     _tags[static_cast<std::size_t>(&line - _lines.data())] = tagOf(addr);
-    line.setAddr(addr);
     line.setState(state);
     line.setDirty(false);
     line.clearTag();

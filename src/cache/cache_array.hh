@@ -102,6 +102,17 @@ class CacheArray
         __builtin_prefetch(&_lines[base]);
     }
 
+    /**
+     * Line-aligned address of @p line, which must belong to this array
+     * and be valid: the tag array is the only place a resident line's
+     * address is kept.
+     */
+    Addr
+    addrOf(const CacheLine &line) const
+    {
+        return tagOf(_tags[static_cast<std::size_t>(&line - _lines.data())]);
+    }
+
     /** Mark @p line most recently used. */
     void touch(CacheLine &line);
 
@@ -133,21 +144,23 @@ class CacheArray
 
     /**
      * Install @p addr into @p line (which the caller already evicted).
-     * Resets metadata, sets the address and state, and touches LRU.
+     * Resets metadata, records the address in the tag array, sets the
+     * state, and touches LRU.
      */
     CacheLine &fill(CacheLine &line, Addr addr, CoherenceState state);
 
     unsigned sets() const { return _sets; }
     unsigned ways() const { return _geom.ways; }
 
-    /** Iterate over every valid line (diagnostics and invariant checks). */
+    /** Call fn(line, addr) for every valid line (diagnostics and
+     * invariant checks). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn)
     {
-        for (CacheLine &line : _lines) {
-            if (line.valid())
-                fn(line);
+        for (std::size_t i = 0; i < _lines.size(); ++i) {
+            if (_lines[i].valid())
+                fn(_lines[i], tagOf(_tags[i]));
         }
     }
 
@@ -161,8 +174,8 @@ class CacheArray
   private:
     /**
      * Tag-array entry of an invalid way. A valid way stores the
-     * complement of its line address (tagOf), which is never 0, so both
-     * arrays start out as plain zero-filled memory.
+     * complement of its line address (tagOf, its own inverse), which is
+     * never 0, so both arrays start out as plain zero-filled memory.
      */
     static constexpr Addr kNoLine = 0;
 

@@ -8,23 +8,29 @@
  * line; the simulator maintains the invariant that a line has at most one
  * unpersisted incarnation system-wide at any time.
  *
- * The record is packed to 32 bytes (two per host cache line pair) so the
- * practical --jobs ceiling on small hosts rises: coherence state, the
- * dirty bit and the pin bit fold into one flags byte, the owner and
- * epoch-tag core ids narrow to one byte each (the sharers mask already
- * caps the system at 64 cores), and the LRU stamp is a 32-bit wrapping
- * counter whose comparisons are wrap-aware (CacheArray::victimFor).
+ * The record is packed to 20 bytes (28 host bytes per way with its
+ * tag-array entry) so the LLC, the simulator's largest host structure,
+ * stays small: coherence state, the dirty bit and the pin bit fold into
+ * one flags byte, the owner and epoch-tag core ids narrow to one byte
+ * each (the sharers mask already caps the system at 64 cores), the
+ * epoch id is a 32-bit field, and the LRU stamp is a 32-bit wrapping
+ * counter whose comparisons are wrap-aware (CacheArray::victimFor). The
+ * line address is not stored here: the owning CacheArray's tag array
+ * holds it, and CacheArray::addrOf recovers it.
  *
- * An empty record is all zero bytes: the core ids and the epoch id are
- * stored XORed with their "none" sentinels, so CacheArray builds its
- * arrays with one zero-fill instead of a per-record constructor loop.
+ * An empty record is all zero bytes: the core ids are stored XORed with
+ * their "none" sentinel and the epoch id is stored plus one, so
+ * CacheArray builds its arrays with one zero-fill instead of a
+ * per-record constructor loop.
  */
 
 #ifndef PERSIM_CACHE_CACHE_LINE_HH
 #define PERSIM_CACHE_CACHE_LINE_HH
 
 #include <cstdint>
+#include <limits>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace persim::cache
@@ -47,18 +53,15 @@ enum class CoherenceState : std::uint8_t
  * accessors translate to/from the CoreId-wide kNoCore. This is sound
  * because the sharers mask below already limits the system to
  * kMaxCores (= 64) cores, which System/PersistController enforce at
- * construction time. The epoch id is likewise stored XORed with
- * kNoEpoch.
+ * construction time. The epoch id is stored plus one in 32 bits, so
+ * 0 means untagged; EpochTable ids are per-core counters starting at 1,
+ * and setTag refuses one that does not fit rather than wrap. The
+ * sharers mask is kept as two 32-bit halves so that the record needs
+ * only 4-byte alignment and packs to 20 bytes.
  */
 class CacheLine
 {
   public:
-    /** Line-aligned address; valid only when state() != Invalid. */
-    Addr addr() const { return _addr; }
-
-    /** Set the address (CacheArray::fill only). */
-    void setAddr(Addr a) { _addr = a; }
-
     CoherenceState
     state() const
     {
@@ -106,9 +109,18 @@ class CacheLine
     void setOwner(CoreId core) { _owner = packCore(core); }
 
     /** LLC only: bitmask of L1s holding Shared copies. */
-    std::uint64_t sharers() const { return _sharers; }
+    std::uint64_t
+    sharers() const
+    {
+        return (std::uint64_t{_sharersHi} << 32) | _sharersLo;
+    }
 
-    void setSharers(std::uint64_t mask) { _sharers = mask; }
+    void
+    setSharers(std::uint64_t mask)
+    {
+        _sharersLo = static_cast<std::uint32_t>(mask);
+        _sharersHi = static_cast<std::uint32_t>(mask >> 32);
+    }
 
     /**
      * Persist tag: the core whose unpersisted epoch last wrote the line.
@@ -117,7 +129,12 @@ class CacheLine
     CoreId epochCore() const { return unpackCore(_epochCore); }
 
     /** Persist tag: epoch of last modification; kNoEpoch if untagged. */
-    EpochId epochId() const { return _epochId ^ kNoEpoch; }
+    EpochId
+    epochId() const
+    {
+        // Stored plus one: the untagged 0 wraps to kNoEpoch.
+        return static_cast<EpochId>(_epochId) - 1;
+    }
 
     /** LRU stamp maintained by the array; 32-bit and wrapping. */
     std::uint32_t lruStamp() const { return _lruStamp; }
@@ -141,27 +158,26 @@ class CacheLine
     void
     setTag(CoreId core, EpochId epoch)
     {
+        simAssert(epoch < kEpochLimit, "epoch tag overflow: core ", core,
+                  " epoch ", epoch, " does not fit the 32-bit line tag");
         _epochCore = packCore(core);
-        _epochId = epoch ^ kNoEpoch;
+        _epochId = static_cast<std::uint32_t>(epoch + 1);
     }
 
-    /** Reset to Invalid, dropping all metadata (pin included). Lines
-     * resident in a CacheArray must go through CacheArray::invalidate
-     * instead so the array's tag scan stays in sync. */
-    void
-    invalidate()
-    {
-        _flags = 0;
-        clearTag();
-        _owner = 0;
-        _sharers = 0;
-    }
+    /** Reset to Invalid, dropping all metadata (pin and LRU stamp
+     * included): the record is all zero bytes again. Lines resident in
+     * a CacheArray must go through CacheArray::invalidate instead so
+     * the array's tag scan stays in sync. */
+    void invalidate() { *this = CacheLine{}; }
 
   private:
     static constexpr std::uint8_t kStateMask = 0x03;
     static constexpr std::uint8_t kDirtyBit = 0x04;
     static constexpr std::uint8_t kPinnedBit = 0x08;
     static constexpr std::uint8_t kNoCore8 = 0xFF;
+    /** First epoch id whose stored form (id + 1) overflows 32 bits. */
+    static constexpr EpochId kEpochLimit =
+        std::numeric_limits<std::uint32_t>::max();
 
     /** kNoCore (0xFFFF) truncates to the 0xFF sentinel, stored as 0;
      * real core ids are < kMaxCores and round-trip unchanged. */
@@ -179,27 +195,30 @@ class CacheLine
                            : static_cast<CoreId>(packed ^ kNoCore8);
     }
 
-    Addr _addr = 0;
     /**
-     * One bit per core: the sharers mask fixes the architectural core
-     * ceiling at 64, which is also what makes the one-byte core ids
-     * above unambiguous. Keep in sync with kMaxCores.
+     * One bit per core, in two halves: the sharers mask fixes the
+     * architectural core ceiling at 64, which is also what makes the
+     * one-byte core ids above unambiguous. Keep in sync with kMaxCores.
      */
-    std::uint64_t _sharers = 0;
-    EpochId _epochId = 0; // epoch id ^ kNoEpoch
+    std::uint32_t _sharersLo = 0;
+    std::uint32_t _sharersHi = 0;
+    std::uint32_t _epochId = 0; // epoch id + 1; 0 when untagged
     std::uint32_t _lruStamp = 0;
     std::uint8_t _epochCore = 0; // packCore(core)
     std::uint8_t _owner = 0;     // packCore(core)
     std::uint8_t _flags = 0;     // state (2 bits) | dirty | pinned
+    /** Explicit padding, so every byte of an empty record is a defined
+     * zero. */
+    std::uint8_t _spare = 0;
 };
 
 static_assert(sizeof(std::uint64_t) * 8 == kMaxCores,
               "CacheLine::sharers holds one bit per core: widening the "
               "system beyond 64 cores needs a wider mask AND wider "
               "packed owner/epochCore fields");
-static_assert(sizeof(CacheLine) <= 32,
-              "CacheLine must stay within 32 bytes (two records per "
-              "host cache line); see the packing notes above");
+static_assert(sizeof(CacheLine) <= 20,
+              "CacheLine must stay within 20 bytes (28 host bytes per "
+              "way with its tag); see the packing notes above");
 
 } // namespace persim::cache
 

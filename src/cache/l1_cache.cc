@@ -299,7 +299,7 @@ void
 L1Cache::writebackLine(CacheLine &line, WritebackKind kind)
 {
     simAssert(line.valid(), name(), ": writeback of invalid line");
-    const Addr addr = line.addr();
+    const Addr addr = _array.addrOf(line);
     LlcBank &bank = _pc.bank(homeBankOf(addr, _pc.numBanks()));
     const bool dirty = line.dirty();
     // Warm the bank set while the mesh-bandwidth work below runs; both

@@ -289,7 +289,7 @@ LlcBank::missPath(Txn txn)
     }
     if (victim->valid()) {
         victim->setPinned(true);
-        const Addr vaddr = victim->addr();
+        const Addr vaddr = _array.addrOf(*victim);
         ++_evictions;
         evictVictim(vaddr, [this, txn] { missPath(txn); });
         return;

@@ -1,6 +1,7 @@
 #include "exp/fault.hh"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -33,13 +34,20 @@ parse(std::string_view text)
     if (index.empty())
         fatal("PERSIM_FAULT wants a job index after ':', got '",
               std::string(text), "'");
+    // SIZE_MAX is the standalone-run index that must never match, so
+    // the largest index a directive may name is one below it.
+    constexpr std::size_t kMaxIndex = SIZE_MAX - 1;
     std::size_t value = 0;
     for (char c : index) {
         if (c < '0' || c > '9')
             fatal("PERSIM_FAULT job index must be a non-negative "
                   "integer, got '",
                   std::string(index), "'");
-        value = value * 10 + static_cast<std::size_t>(c - '0');
+        const auto digit = static_cast<std::size_t>(c - '0');
+        if (value > (kMaxIndex - digit) / 10)
+            fatal("PERSIM_FAULT job index out of range (at most ",
+                  kMaxIndex, "), got '", std::string(index), "'");
+        value = value * 10 + digit;
     }
     spec.jobIndex = value;
     return spec;

@@ -50,7 +50,8 @@ struct Spec
 
 /**
  * Parse "<kind>:<jobIndex>"; throws SimFatal naming the defect on
- * malformed input (unknown kind, missing colon, non-numeric index).
+ * malformed input (unknown kind, missing colon, non-numeric index, or
+ * an index above SIZE_MAX - 1).
  */
 Spec parse(std::string_view text);
 

@@ -88,7 +88,8 @@ PersistController::beforeL1Store(CoreId core, cache::CacheLine &line,
         cont();
         return;
     }
-    resolveL1StoreConflict(core, line.addr(), std::move(cont));
+    resolveL1StoreConflict(core, l1(core).array().addrOf(line),
+                           std::move(cont));
 }
 
 void
@@ -147,15 +148,27 @@ PersistController::afterL1StoreTagNew(CoreId core, cache::CacheLine &line,
                                       Epoch &e)
 {
     line.setTag(core, e.id);
-    l1(core).flushEngine().addLine(core, e.id, line.addr());
+    const Addr addr = l1(core).array().addrOf(line);
+    l1(core).flushEngine().addLine(core, e.id, addr);
     ++e.linesLive;
     if (_observer)
-        _observer->onStoreTagged(core, e.id, line.addr());
+        _observer->onStoreTagged(core, e.id, addr);
     if (_cfg.logging) {
         // First modification of the line in this epoch: persist the old
         // value to the undo log (§5.2.1).
         arbiter(core).issueLogWrite(e.id);
     }
+}
+
+void
+PersistController::foreignIncarnation(CoreId core,
+                                      const cache::CacheLine &line,
+                                      EpochId epoch)
+{
+    panic("store performed over a foreign incarnation: line 0x", std::hex,
+          l1(core).array().addrOf(line), std::dec, " tagged (core ",
+          line.epochCore(), ", epoch ", line.epochId(),
+          ") but store is (core ", core, ", epoch ", epoch, ")");
 }
 
 void
@@ -169,11 +182,11 @@ PersistController::onL1Writeback(CoreId core,
               "writeback of a foreign incarnation");
     simAssert(!llcLine.tagged(),
               "two incarnations of one line (LLC already tagged)");
-    const bool present = l1(core).flushEngine().removeLine(
-        core, l1Line.epochId(), l1Line.addr());
+    const Addr addr = l1(core).array().addrOf(l1Line);
+    const bool present =
+        l1(core).flushEngine().removeLine(core, l1Line.epochId(), addr);
     simAssert(present, "L1 incarnation missing from its flush engine");
-    bank(bankIdx).flushEngine().addLine(core, l1Line.epochId(),
-                                        l1Line.addr());
+    bank(bankIdx).flushEngine().addLine(core, l1Line.epochId(), addr);
     llcLine.setTag(core, l1Line.epochId());
 }
 
@@ -347,6 +360,7 @@ PersistController::onBankGrantWrite(unsigned bankIdx, CoreId reqCore,
         line.clearTag();
         return none;
     }
+    const Addr addr = bank(bankIdx).array().addrOf(line);
 
     if (srcCore == reqCore) {
         const EpochId reqEpoch = arbiter(reqCore).currentEpoch();
@@ -355,10 +369,9 @@ PersistController::onBankGrantWrite(unsigned bankIdx, CoreId reqCore,
                   "must re-resolve via writeGrantNeedsResolve)");
         // The same-epoch incarnation moves back into the writer's L1.
         const bool present = bank(bankIdx).flushEngine().removeLine(
-            srcCore, srcEpoch, line.addr());
+            srcCore, srcEpoch, addr);
         simAssert(present, "LLC tag without a flush-engine entry");
-        l1(reqCore).flushEngine().addLine(srcCore, srcEpoch,
-                                          line.addr());
+        l1(reqCore).flushEngine().addLine(srcCore, srcEpoch, addr);
         line.clearTag();
         return IdtEntry{srcCore, srcEpoch};
     }
@@ -368,8 +381,8 @@ PersistController::onBankGrantWrite(unsigned bankIdx, CoreId reqCore,
     // flushed online before we got here; if the old incarnation's flush
     // is already in flight it still persists with the old tags.
     const EpochId reqEpoch = arbiter(reqCore).currentEpoch();
-    const bool present = bank(bankIdx).flushEngine().removeLine(
-        srcCore, srcEpoch, line.addr());
+    const bool present =
+        bank(bankIdx).flushEngine().removeLine(srcCore, srcEpoch, addr);
     if (present) {
         ++statStealsClean;
         arbiter(srcCore).removeLiveLine(srcEpoch);
@@ -377,8 +390,8 @@ PersistController::onBankGrantWrite(unsigned bankIdx, CoreId reqCore,
         ++statStealsInFlight;
     }
     if (_observer) {
-        _observer->onSteal(srcCore, srcEpoch, reqCore, reqEpoch,
-                           line.addr(), !present);
+        _observer->onSteal(srcCore, srcEpoch, reqCore, reqEpoch, addr,
+                           !present);
     }
     line.clearTag();
     return none;

@@ -125,12 +125,8 @@ class PersistController : public SimObject
         // Stores tag at completion time with the current epoch (§2.1).
         Epoch &e = arbiter(core).notePerformedStore();
         if (line.tagged()) {
-            simAssert(line.epochCore() == core && line.epochId() == e.id,
-                      "store performed over a foreign incarnation: line "
-                      "0x", std::hex, line.addr(), std::dec, " tagged "
-                      "(core ", line.epochCore(), ", epoch ",
-                      line.epochId(), ") but store is (core ", core,
-                      ", epoch ", e.id, ")");
+            if (line.epochCore() != core || line.epochId() != e.id)
+                [[unlikely]] foreignIncarnation(core, line, e.id);
             return; // same-epoch coalescing: nothing new to track
         }
         afterL1StoreTagNew(core, line, e);
@@ -217,6 +213,11 @@ class PersistController : public SimObject
     /** afterL1Store tail: first store to @p line in epoch @p e. */
     void afterL1StoreTagNew(CoreId core, cache::CacheLine &line,
                             Epoch &e);
+
+    /** afterL1Store failure: panic naming @p line's address and tag. */
+    [[noreturn]] void foreignIncarnation(CoreId core,
+                                         const cache::CacheLine &line,
+                                         EpochId epoch);
 
     /** Inter-thread resolution once the source epoch is closed. */
     void resolveInterThreadClosed(CoreId reqCore, bool isWrite,

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache_array.hh"
 #include "cache/mshr.hh"
 #include "cpu/write_buffer.hh"
@@ -43,6 +45,54 @@ TEST(CacheArray, FillAndFind)
     EXPECT_EQ(line.state(), CoherenceState::Shared);
 }
 
+TEST(CacheArray, AddrOfReturnsFilledAddress)
+{
+    // LLC-shaped: 64 sets x 16 ways, bank-select bits stripped by a
+    // set shift of 2. Every address below maps to set 5 of bank 1.
+    CacheArray arr("llc", CacheGeometry{64 * 1024, 16}, 2);
+    auto addrFor = [](Addr k) {
+        const Addr lineNum = (k << (2 + 6)) | (Addr{5} << 2) | 1;
+        return (Addr{1} << 40) + lineNum * kLineBytes;
+    };
+    std::vector<CacheLine *> lines;
+    for (Addr k = 0; k < arr.ways(); ++k) {
+        const Addr a = addrFor(k);
+        ASSERT_EQ(arr.setIndex(a), 5u);
+        CacheLine *v = arr.victimFor(a, false);
+        ASSERT_NE(v, nullptr);
+        ASSERT_FALSE(v->valid());
+        lines.push_back(&arr.fill(*v, a, CoherenceState::Shared));
+    }
+    for (Addr k = 0; k < arr.ways(); ++k) {
+        EXPECT_EQ(arr.addrOf(*lines[k]), addrFor(k));
+        EXPECT_EQ(arr.find(addrFor(k) + 8), lines[k]);
+    }
+
+    // Invalidate one way and refill it with a new address.
+    arr.invalidate(*lines[7]);
+    EXPECT_EQ(arr.find(addrFor(7)), nullptr);
+    const Addr fresh = addrFor(arr.ways() + 3);
+    CacheLine *v = arr.victimFor(fresh, false);
+    ASSERT_EQ(v, lines[7]);
+    arr.fill(*v, fresh, CoherenceState::Exclusive);
+    EXPECT_EQ(arr.addrOf(*lines[7]), fresh);
+    EXPECT_EQ(arr.find(fresh), lines[7]);
+    for (Addr k = 0; k < arr.ways(); ++k) {
+        if (k != 7) {
+            EXPECT_EQ(arr.addrOf(*lines[k]), addrFor(k));
+        }
+    }
+
+    // forEachValid hands each line its address.
+    unsigned seen = 0;
+    arr.forEachValid([&](const CacheLine &line, Addr addr) {
+        EXPECT_EQ(addr, arr.addrOf(line));
+        EXPECT_EQ(arr.find(addr), &line);
+        ++seen;
+    });
+    EXPECT_EQ(seen, arr.ways());
+}
+
 TEST(CacheArray, LruVictimSelection)
 {
     // 16 sets, 2 ways: addresses 64*16 apart collide.
@@ -54,7 +104,7 @@ TEST(CacheArray, LruVictimSelection)
     arr.touch(*arr.find(a));
     CacheLine *v = arr.victimFor(c, false);
     ASSERT_TRUE(v->valid());
-    EXPECT_EQ(v->addr(), b);
+    EXPECT_EQ(arr.addrOf(*v), b);
 }
 
 TEST(CacheArray, VictimAvoidsTaggedLines)
@@ -66,9 +116,9 @@ TEST(CacheArray, VictimAvoidsTaggedLines)
     arr.fill(*arr.victimFor(b, false), b, CoherenceState::Shared);
     la.setTag(0, 5); // LRU but tagged
     CacheLine *v = arr.victimFor(c, true);
-    EXPECT_EQ(v->addr(), b);
+    EXPECT_EQ(arr.addrOf(*v), b);
     // Without avoidance, plain LRU picks the tagged line.
-    EXPECT_EQ(arr.victimFor(c, false)->addr(), a);
+    EXPECT_EQ(arr.addrOf(*arr.victimFor(c, false)), a);
 }
 
 TEST(CacheArray, VictimPrefersLinesWithoutL1Copies)
@@ -79,7 +129,7 @@ TEST(CacheArray, VictimPrefersLinesWithoutL1Copies)
                              CoherenceState::Shared);
     arr.fill(*arr.victimFor(b, false), b, CoherenceState::Shared);
     la.setOwner(3); // LRU but held by an L1
-    EXPECT_EQ(arr.victimFor(c, true)->addr(), b);
+    EXPECT_EQ(arr.addrOf(*arr.victimFor(c, true)), b);
 }
 
 TEST(CacheArray, PinnedLinesAreNeverVictims)
@@ -109,9 +159,9 @@ TEST(CacheArray, RandomPolicyPicksValidCandidates)
     for (int i = 0; i < 64; ++i) {
         CacheLine *v = arr.victimFor(c, false);
         ASSERT_NE(v, nullptr);
-        ASSERT_TRUE(v->addr() == a || v->addr() == b);
-        sawA |= v->addr() == a;
-        sawB |= v->addr() == b;
+        ASSERT_TRUE(arr.addrOf(*v) == a || arr.addrOf(*v) == b);
+        sawA |= arr.addrOf(*v) == a;
+        sawB |= arr.addrOf(*v) == b;
     }
     EXPECT_TRUE(sawA);
     EXPECT_TRUE(sawB);
@@ -128,13 +178,12 @@ TEST(CacheArray, RandomPolicyStillAvoidsTaggedLines)
     arr.fill(*arr.victimFor(b, false), b, CoherenceState::Shared);
     la.setTag(0, 3);
     for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(arr.victimFor(c, true)->addr(), b);
+        EXPECT_EQ(arr.addrOf(*arr.victimFor(c, true)), b);
 }
 
 TEST(CacheArray, InvalidateClearsEverything)
 {
     CacheLine l;
-    l.setAddr(0x40);
     l.setState(CoherenceState::Modified);
     l.setDirty(true);
     l.setTag(2, 9);

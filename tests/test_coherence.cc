@@ -45,20 +45,19 @@ void
 checkDirectoryInvariants(System &sys, unsigned cores)
 {
     for (unsigned b = 0; b < cores; ++b) {
-        sys.bank(b).array().forEachValid([&](cache::CacheLine &line) {
+        sys.bank(b).array().forEachValid([&](cache::CacheLine &line,
+                                             Addr addr) {
             // Owner and sharers are mutually exclusive.
             if (line.owner() != kNoCore) {
                 EXPECT_EQ(line.sharers(), 0u)
-                    << "owned line with sharers: 0x" << std::hex
-                    << line.addr();
+                    << "owned line with sharers: 0x" << std::hex << addr;
             }
             // The owner really holds the line (inclusion + precision).
             if (line.owner() != kNoCore) {
                 cache::CacheLine *l1Line =
-                    sys.l1(line.owner()).find(line.addr());
+                    sys.l1(line.owner()).find(addr);
                 ASSERT_NE(l1Line, nullptr)
-                    << "directory owner lost line 0x" << std::hex
-                    << line.addr();
+                    << "directory owner lost line 0x" << std::hex << addr;
                 EXPECT_TRUE(l1Line->state() ==
                                 cache::CoherenceState::Modified ||
                             l1Line->state() ==
@@ -68,7 +67,7 @@ checkDirectoryInvariants(System &sys, unsigned cores)
             for (unsigned c = 0; c < cores; ++c) {
                 if (line.sharers() & (std::uint64_t{1} << c)) {
                     cache::CacheLine *l1Line =
-                        sys.l1(static_cast<CoreId>(c)).find(line.addr());
+                        sys.l1(static_cast<CoreId>(c)).find(addr);
                     ASSERT_NE(l1Line, nullptr);
                     EXPECT_EQ(l1Line->state(),
                               cache::CoherenceState::Shared);
@@ -80,12 +79,10 @@ checkDirectoryInvariants(System &sys, unsigned cores)
     for (unsigned c = 0; c < cores; ++c) {
         sys.l1(static_cast<CoreId>(c))
             .array()
-            .forEachValid([&](cache::CacheLine &line) {
-                const unsigned home =
-                    cache::homeBankOf(line.addr(), cores);
-                EXPECT_NE(sys.bank(home).find(line.addr()), nullptr)
-                    << "inclusion violated for 0x" << std::hex
-                    << line.addr();
+            .forEachValid([&](const cache::CacheLine &, Addr addr) {
+                const unsigned home = cache::homeBankOf(addr, cores);
+                EXPECT_NE(sys.bank(home).find(addr), nullptr)
+                    << "inclusion violated for 0x" << std::hex << addr;
             });
     }
 }

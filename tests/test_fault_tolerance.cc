@@ -102,6 +102,12 @@ TEST(Fault, RejectsMalformedDirectives)
     EXPECT_THROW(exp::fault::parse("oops:1"), SimFatal);
     EXPECT_THROW(exp::fault::parse("segv:12"), SimFatal);
     EXPECT_THROW(exp::fault::parse("abort:1"), SimFatal);
+    // Indices that would wrap (to job 1) or name the never-matching
+    // standalone index SIZE_MAX are refused, not truncated.
+    EXPECT_THROW(exp::fault::parse("throw:18446744073709551617"), SimFatal);
+    EXPECT_THROW(exp::fault::parse("throw:18446744073709551615"), SimFatal);
+    EXPECT_EQ(exp::fault::parse("throw:18446744073709551614").jobIndex,
+              SIZE_MAX - 1);
 }
 
 TEST(Fault, FromEnvRereadsEveryCall)

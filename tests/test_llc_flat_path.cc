@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -158,7 +159,63 @@ TEST(NodePool, FifoListAndReuse)
 
 TEST(CacheLinePacked, FitsInHalfAHostLine)
 {
-    EXPECT_LE(sizeof(CacheLine), 32u);
+    EXPECT_EQ(sizeof(CacheLine), 20u);
+}
+
+TEST(CacheLinePacked, EpochTagRoundTrips)
+{
+    // The epoch is stored plus one in 32 bits: the largest id that
+    // fits is 2^32 - 2, and the next one is refused, never wrapped.
+    constexpr EpochId kLargest = (EpochId{1} << 32) - 2;
+    CacheLine l;
+    l.setTag(3, 1);
+    EXPECT_EQ(l.epochCore(), 3u);
+    EXPECT_EQ(l.epochId(), 1u);
+    l.setTag(5, kLargest);
+    EXPECT_EQ(l.epochCore(), 5u);
+    EXPECT_EQ(l.epochId(), kLargest);
+    try {
+        l.setTag(6, kLargest + 1);
+        FAIL() << "expected SimPanic";
+    } catch (const SimPanic &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("core 6"), std::string::npos) << what;
+        EXPECT_NE(what.find("epoch 4294967295"), std::string::npos)
+            << what;
+    }
+    // The refused tag left the previous one in place.
+    EXPECT_EQ(l.epochCore(), 5u);
+    EXPECT_EQ(l.epochId(), kLargest);
+}
+
+TEST(CacheLinePacked, EmptyRecordIsZeroBytes)
+{
+    const unsigned char zeros[20] = {};
+    static_assert(sizeof(zeros) == sizeof(CacheLine));
+    CacheLine fresh;
+    EXPECT_EQ(std::memcmp(&fresh, zeros, sizeof(zeros)), 0);
+
+    CacheLine used;
+    used.setState(CoherenceState::Modified);
+    used.setDirty(true);
+    used.setPinned(true);
+    used.setOwner(2);
+    used.setSharers(~std::uint64_t{0});
+    used.setTag(kMaxCores - 1, 9);
+    used.setLruStamp(77);
+    EXPECT_NE(std::memcmp(&used, zeros, sizeof(zeros)), 0);
+    used.invalidate();
+    EXPECT_EQ(std::memcmp(&used, zeros, sizeof(zeros)), 0);
+}
+
+TEST(CacheLinePacked, SharerHalvesRoundTrip)
+{
+    CacheLine l;
+    const std::uint64_t mask = (std::uint64_t{1} << 63) | 0x80000001u;
+    l.setSharers(mask);
+    EXPECT_EQ(l.sharers(), mask);
+    l.setSharers(std::uint64_t{1} << 32);
+    EXPECT_EQ(l.sharers(), std::uint64_t{1} << 32);
 }
 
 TEST(CacheLinePacked, FlagBitsAreIndependent)

@@ -128,7 +128,7 @@ TEST_P(MicroProperties, InvariantsHold)
         EXPECT_EQ(sys.bank(c).flushEngine().totalLines(), 0u);
         sys.l1(static_cast<CoreId>(c))
             .array()
-            .forEachValid([&](cache::CacheLine &line) {
+            .forEachValid([&](cache::CacheLine &line, Addr) {
                 if (!line.tagged())
                     return;
                 EXPECT_FALSE(line.dirty());
@@ -136,7 +136,8 @@ TEST_P(MicroProperties, InvariantsHold)
                                 .arbiter(line.epochCore())
                                 .isPersisted(line.epochId()));
             });
-        sys.bank(c).array().forEachValid([](cache::CacheLine &line) {
+        sys.bank(c).array().forEachValid([](const cache::CacheLine &line,
+                                            Addr) {
             EXPECT_FALSE(line.tagged());
             EXPECT_FALSE(line.pinned());
         });
