@@ -195,6 +195,19 @@ def smoke_hot_path_deterministic():
     same("trace_0.json", "trace_1.json")
 
 
+def smoke_no_stats_stat_table():
+    """fig12's table sums stats, so its cells keep their stat trees under
+    --no-stats too: the table equals the one of a run with stats."""
+    grid = ("--figure", 12, "--ops", 40, "--cores", 4, "--jobs", 2,
+            "--quiet")
+    sweep(*grid, "--out", "stats.json")
+    sweep(*grid, "--no-stats", "--out", "bare.json")
+    bare = load("bare.json")
+    expect(load("stats.json")["table"] == bare["table"], "tables differ")
+    expect(all("groups" not in j for j in bare["jobs"]),
+           "--no-stats document has groups")
+
+
 def obs_traced_sweep():
     """A traced sweep writes valid documents and a well-formed trace."""
     sweep("--figure", 14, "--ops", 500, "--cores", 4, "--jobs", 2,
@@ -258,12 +271,13 @@ def fault_watchdog_times_out_hang():
     expect(states.count("timed-out") == 1, states)
 
 
-def killed_mid_grid(out):
-    """Run FAULT_GRID into @p out with cell 1 hung and no watchdog, and
-    SIGKILL the sweep once its journal holds the header and a completed
-    cell. The hang keeps the sweep from finishing first."""
+def killed_mid_grid(out, *args):
+    """Run FAULT_GRID (plus @p args) into @p out with cell 1 hung and no
+    watchdog, and SIGKILL the sweep once its journal holds the header and
+    a completed cell. The hang keeps the sweep from finishing first."""
     cmd = [os.path.join(BIN, "persim_sweep"), *map(str, FAULT_GRID),
-           "--jobs", "1", "--retries", "0", "--quiet", "--out", out]
+           *map(str, args), "--jobs", "1", "--retries", "0", "--quiet",
+           "--out", out]
     print("+ PERSIM_FAULT=hang:1", " ".join(cmd), flush=True)
     p = subprocess.Popen(cmd, env=dict(os.environ, PERSIM_FAULT="hang:1"))
     journal = out + ".journal"
@@ -301,6 +315,29 @@ def fault_resume_refuses_changed_grid():
     rc = sweep("--figure", 11, "--ops", 60, "--cores", 4, "--quiet",
                "--resume", "--out", "mm.json", status=None)
     expect(rc != 0, "resume accepted a mismatched grid")
+
+
+def fault_resume_refuses_stats_from_no_stats_journal():
+    """A --no-stats journal keeps no stat trees: resuming it with stats
+    is refused by name, resuming it with --no-stats finishes
+    byte-identical."""
+    sweep(*FAULT_GRID, "--quiet", "--no-stats", "--out", "ns_ref.json")
+    killed_mid_grid("ns.json", "--no-stats")
+    with open("ns.json.journal") as f:
+        header, *cells = [json.loads(line) for line in f if line.strip()]
+    expect(header.get("statTrees") is False, header)
+    expect(cells and all("groups" not in c for c in cells),
+           "a --no-stats journal line carries groups")
+    p = subprocess.run(
+        [os.path.join(BIN, "persim_sweep"), *map(str, FAULT_GRID),
+         "--quiet", "--resume", "--out", "ns.json"],
+        capture_output=True, text=True)
+    expect(p.returncode == 2, f"stats resume exited {p.returncode}")
+    expect("holds no stat trees" in p.stderr, p.stderr)
+    expect(not os.path.exists("ns.json"), "refused resume wrote --out")
+    sweep(*FAULT_GRID, "--quiet", "--no-stats", "--resume",
+          "--out", "ns.json")
+    same("ns_ref.json", "ns.json")
 
 
 def trace_fig11_capture_replay():
@@ -368,9 +405,10 @@ def soak_fig13_fig14_seeds():
 # entry carries the same name.
 CHECKS = {f.__name__.replace("_", ".", 1): f for f in (
     smoke_jobs_deterministic, smoke_hot_path_deterministic,
-    obs_traced_sweep, prof_profiled_sweep,
+    smoke_no_stats_stat_table, obs_traced_sweep, prof_profiled_sweep,
     fault_throw_costs_one_cell, fault_watchdog_times_out_hang,
     fault_resume_after_crash, fault_resume_refuses_changed_grid,
+    fault_resume_refuses_stats_from_no_stats_journal,
     trace_fig11_capture_replay, trace_fig14_capture_replay,
     trace_fixture_validates, trace_seeds_table_ci,
     soak_fig13_fig14_seeds)}

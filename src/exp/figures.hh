@@ -60,6 +60,9 @@ struct Reduction
 
     /** Column means: geometric (true) or arithmetic. */
     bool gmean = true;
+
+    /** The table reads each cell's stat tree, not just its SimResult. */
+    bool readsStats() const { return metric == Metric::Stat; }
 };
 
 /** One named experiment grid and its table. */

@@ -70,7 +70,8 @@ outcomeToWire(const JobOutcome &outcome)
     wire["error"] = JsonValue(outcome.error);
     wire["wallMs"] = JsonValue(outcome.wallMs);
     wire["result"] = simResultToJson(outcome.result);
-    wire["groups"] = outcome.statTree;
+    if (!outcome.statTree.isNull())
+        wire["groups"] = outcome.statTree;
     return wire;
 }
 
@@ -140,6 +141,7 @@ SweepJournal::open(const std::string &path, const JournalHeader &header,
         std::snprintf(hash, sizeof(hash), "%016llx",
                       static_cast<unsigned long long>(header.gridHash));
         hdr["gridHash"] = JsonValue(std::string(hash));
+        hdr["statTrees"] = JsonValue(header.statTrees);
         const std::string line = hdr.dump(0) + "\n";
         if (!writeAll(_fd, line.data(), line.size()) ||
             ::fsync(_fd) != 0)
@@ -217,6 +219,8 @@ loadJournal(const std::string &path)
                 static_cast<std::size_t>(count->asNumber());
             out.header.gridHash = std::strtoull(
                 hash->asString().c_str(), nullptr, 16);
+            if (const JsonValue *trees = v.get("statTrees"))
+                out.header.statTrees = trees->asBool();
             continue;
         }
         const JsonValue *id = v.get("id");

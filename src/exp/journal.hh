@@ -8,10 +8,13 @@
  *
  *   - `<out>.journal` is append-only. Line 1 is a header binding the
  *     journal to one exact grid (sweep name, job count, and a
- *     fingerprint over every cell's identity-relevant fields); every
+ *     fingerprint over every cell's identity-relevant fields) and
+ *     recording whether the cells kept their stat trees; every
  *     further line is one completed cell's full outcome as compact
  *     JSON, written with a single write(2) and fsync'd before the
  *     runner moves on. A crash can lose at most the in-flight cells.
+ *     A cell that kept no tree (RunnerOptions::keepStatTrees off)
+ *     journals no "groups" key, so its line is ~0.3 KB, not ~60 KB.
  *   - `persim_sweep --resume` loads the journal, skips journaled
  *     cells, runs the rest, and merges both sets back into grid
  *     order. Because the codec round-trips outcomes exactly (shortest
@@ -45,7 +48,8 @@ namespace persim::exp
 /**
  * Full-fidelity serialization of one JobOutcome for the journal:
  * everything JobOutcome::toJson() emits plus wallMs, so figure tables
- * and telemetry can be rebuilt without re-running the cell.
+ * and telemetry can be rebuilt without re-running the cell. A null
+ * statTree writes no "groups" key.
  */
 JsonValue outcomeToWire(const JobOutcome &outcome);
 
@@ -73,6 +77,14 @@ struct JournalHeader
     std::string sweep;
     std::size_t jobCount = 0;
     std::uint64_t gridHash = 0;
+
+    /**
+     * The cells kept their stat trees. A journal without them cannot
+     * rebuild a document with stats; journals written before this
+     * field existed always kept them, so a missing key reads as true.
+     * Not part of the grid identity (matches()).
+     */
+    bool statTrees = true;
 
     bool matches(const JournalHeader &other) const
     {

@@ -54,8 +54,13 @@ JobOutcome::toJson(bool includeStats) const
     if (!ok)
         out["error"] = JsonValue(error);
     out["result"] = simResultToJson(result);
-    if (includeStats)
+    if (includeStats) {
+        if (ok && statTree.isNull())
+            fatal("cell '", spec.id(),
+                  "' kept no stat tree; a document with stats needs "
+                  "every cell's tree");
         out["groups"] = statTree;
+    }
     return out;
 }
 
@@ -72,7 +77,7 @@ retryBackoffMs(unsigned retry)
 
 JobOutcome
 runJob(const ExperimentSpec &spec, std::size_t gridIndex,
-       const std::atomic<bool> *cancel)
+       const std::atomic<bool> *cancel, bool keepStatTree)
 {
     JobOutcome out;
     out.spec = spec;
@@ -89,7 +94,8 @@ runJob(const ExperimentSpec &spec, std::size_t gridIndex,
             sys.setWorkload(static_cast<CoreId>(t),
                             std::move(workloads[t]));
         out.result = sys.run();
-        out.statTree = statGroupsToJson(sys.statGroups());
+        if (keepStatTree)
+            out.statTree = statGroupsToJson(sys.statGroups());
         // Captures are written only for completed runs, so a retried
         // attempt never leaves a partial trace behind.
         if (capture)
@@ -129,8 +135,8 @@ WorkStealingPool::popOwn(unsigned worker, std::size_t &out)
     std::lock_guard<std::mutex> lock(dq.mutex);
     if (dq.jobs.empty())
         return false;
-    out = dq.jobs.back();
-    dq.jobs.pop_back();
+    out = dq.jobs.front();
+    dq.jobs.pop_front();
     return true;
 }
 
@@ -141,8 +147,8 @@ WorkStealingPool::stealFrom(unsigned victim, std::size_t &out)
     std::lock_guard<std::mutex> lock(dq.mutex);
     if (dq.jobs.empty())
         return false;
-    out = dq.jobs.front();
-    dq.jobs.pop_front();
+    out = dq.jobs.back();
+    dq.jobs.pop_back();
     return true;
 }
 
@@ -363,7 +369,8 @@ SweepRunner::run(const Sweep &sweep)
                 static_cast<std::uint64_t>(msSince(start)) + 1,
                 std::memory_order_relaxed);
             setState(JobState::Running);
-            outcome = runJob(spec, index, &slot.cancel);
+            outcome = runJob(spec, index, &slot.cancel,
+                             _opts.keepStatTrees);
             slot.attemptStartMs.store(0, std::memory_order_relaxed);
             outcome.attempts = attempt;
             if (!outcome.ok &&

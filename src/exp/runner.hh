@@ -9,11 +9,12 @@
  * or how the jobs interleave.
  *
  * Scheduling is work-stealing: jobs are dealt round-robin into
- * per-worker deques; a worker pops from the back of its own deque and,
- * when empty, steals from the front of a victim's. Simulated cells vary
- * wildly in cost (a 10K-epoch BSP run is orders of magnitude longer
- * than an NP baseline), so stealing — not static partitioning — is
- * what keeps all cores busy until the tail.
+ * per-worker deques; a worker pops from the front of its own deque and,
+ * when empty, steals from the back of a victim's, so a one-worker
+ * sweep runs (and journals) its cells in grid order. Simulated cells
+ * vary wildly in cost (a 10K-epoch BSP run is orders of magnitude
+ * longer than an NP baseline), so stealing — not static partitioning —
+ * is what keeps all cores busy until the tail.
  *
  * Jobs are isolated: an exception inside one job (bad config, panic,
  * fatal, failed simAssert — all of which throw) is caught, retried up
@@ -86,7 +87,10 @@ struct JobOutcome
 
     model::SimResult result;
 
-    /** Structured StatGroup tree (statGroupsToJson). */
+    /**
+     * Structured StatGroup tree (statGroupsToJson); null when the run
+     * kept no tree (RunnerOptions::keepStatTrees off) or failed.
+     */
     JsonValue statTree;
 
     /**
@@ -95,7 +99,11 @@ struct JobOutcome
      */
     double wallMs = 0.0;
 
-    /** Deterministic serialization (spec, status, result, stats). */
+    /**
+     * Deterministic serialization (spec, status, result, stats).
+     * Throws SimFatal when @p includeStats asks for the tree of an ok
+     * cell that kept none, rather than write a document without it.
+     */
     JsonValue toJson(bool includeStats = true) const;
 };
 
@@ -110,10 +118,14 @@ struct JobOutcome
  *                  SimCancelled once it is set; SweepRunner::run then
  *                  records the failed attempt as "timeout". May be
  *                  nullptr.
+ * @param keepStatTree Export the System's stat tree into
+ *                  JobOutcome::statTree; off leaves it null and skips
+ *                  the export (about 0.6 MB of heap per kept cell).
  */
 JobOutcome runJob(const ExperimentSpec &spec,
                   std::size_t gridIndex = SIZE_MAX,
-                  const std::atomic<bool> *cancel = nullptr);
+                  const std::atomic<bool> *cancel = nullptr,
+                  bool keepStatTree = true);
 
 /**
  * Sleep before the @p retry'th retry (1-based): the backoff starts at
@@ -187,6 +199,14 @@ struct RunnerOptions
      * the cancel flag between events.
      */
     unsigned jobTimeoutMs = 0;
+
+    /**
+     * Keep each cell's stat tree in its outcome and journal line. Turn
+     * it off only when nothing reads the trees: a document without
+     * stats whose figure table reads only SimResult. Off, memory stays
+     * flat as cells finish instead of growing by a tree per cell.
+     */
+    bool keepStatTrees = true;
 
     /**
      * When set, every completed (ok) job is appended to this journal

@@ -19,6 +19,7 @@
 #include "exp/spec.hh"
 #include "exp/stats_export.hh"
 #include "exp/trace_export.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 
@@ -225,6 +226,16 @@ TEST(ExpPool, EveryJobRunsExactlyOnce)
     EXPECT_EQ(executed, jobs);
 }
 
+TEST(ExpPool, OneWorkerRunsInGridOrder)
+{
+    // A serial sweep journals and reports its cells head first, so a
+    // killed run has finished the start of the grid.
+    std::vector<std::size_t> order;
+    exp::WorkStealingPool pool(1, 8);
+    pool.run([&](std::size_t job, unsigned) { order.push_back(job); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(ExpPool, StealingDrainsAnImbalancedLoad)
 {
     // 2 workers, 8 jobs; worker 0's jobs are slow. With stealing the
@@ -358,6 +369,36 @@ TEST(ExpRunner, FailedJobDoesNotKillTheSweep)
     EXPECT_FALSE(doc.get("jobs")->at(1).get("ok")->asBool());
 }
 
+TEST(ExpRunner, CellsWithoutTreesWriteTheSameTableAndDocument)
+{
+    // fig14's table reads only SimResult, so a --no-stats run keeps no
+    // tree: the table and the stat-free document must not notice.
+    const Sweep sweep = exp::figureSweep(14, /*ops=*/40, /*cores=*/4);
+    ASSERT_FALSE(exp::findGrid("fig14").reduce.readsStats());
+    auto runWith = [&](bool keep) {
+        exp::RunnerOptions opts;
+        opts.jobs = 2;
+        opts.progress = false;
+        opts.keepStatTrees = keep;
+        exp::SweepRunner runner(opts);
+        return runner.run(sweep);
+    };
+    const std::vector<JobOutcome> kept = runWith(true);
+    const std::vector<JobOutcome> bare = runWith(false);
+    for (const JobOutcome &o : bare) {
+        EXPECT_TRUE(o.ok) << o.spec.id() << ": " << o.error;
+        EXPECT_TRUE(o.statTree.isNull()) << o.spec.id();
+    }
+    EXPECT_EQ(
+        exp::figureTableToJson(exp::figureTable("fig14", kept)).dump(2),
+        exp::figureTableToJson(exp::figureTable("fig14", bare)).dump(2));
+    EXPECT_EQ(exp::sweepToJson(sweep, kept, false).dump(2),
+              exp::sweepToJson(sweep, bare, false).dump(2));
+    // A document with stats is refused rather than written without
+    // its groups.
+    EXPECT_THROW(exp::sweepToJson(sweep, bare, true), SimFatal);
+}
+
 TEST(ExpRunner, Fig11TableNormalizesLbToOne)
 {
     exp::RunnerOptions opts;
@@ -453,6 +494,21 @@ TEST(GridRegistry, EveryGridRunsCleanAndFillsItsTable)
                 EXPECT_EQ(exp::metricValue(grid.reduce, *o), 0.0)
                     << o->spec.id();
             }
+        }
+
+        // Without stat trees, a table that reads no stats is unchanged
+        // and one that does is refused: readsStats() is the exact bit
+        // that lets a --no-stats sweep drop its trees.
+        std::vector<JobOutcome> bare = outcomes;
+        for (JobOutcome &o : bare)
+            o.statTree = JsonValue();
+        if (grid.reduce.readsStats()) {
+            EXPECT_THROW(exp::figureTable(grid.name, bare), SimFatal);
+        } else {
+            EXPECT_EQ(
+                exp::figureTableToJson(table).dump(0),
+                exp::figureTableToJson(exp::figureTable(grid.name, bare))
+                    .dump(0));
         }
     }
 }

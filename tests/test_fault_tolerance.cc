@@ -250,6 +250,58 @@ TEST(Journal, OutcomeWireRoundTripsByteExact)
     EXPECT_EQ(exp::outcomeToWire(back).dump(0), wireText);
 }
 
+TEST(Journal, CellsWithoutTreesJournalNoGroups)
+{
+    const std::string path = tempPath("no_trees.journal");
+    std::filesystem::remove(path);
+
+    Sweep sweep = tinySweep(3);
+    exp::JournalHeader header;
+    header.sweep = sweep.name;
+    header.jobCount = sweep.jobs.size();
+    header.gridHash = exp::gridFingerprint(sweep.jobs);
+    header.statTrees = false;
+
+    exp::RunnerOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    opts.keepStatTrees = false;
+    opts.journal = std::make_shared<exp::SweepJournal>();
+    opts.journal->open(path, header, /*fresh=*/true);
+    exp::SweepRunner runner(opts);
+    const auto outcomes = runner.run(sweep);
+    opts.journal->close();
+
+    const exp::JournalContents jc = exp::loadJournal(path);
+    ASSERT_TRUE(jc.headerOk);
+    EXPECT_FALSE(jc.header.statTrees);
+    ASSERT_EQ(jc.entries.size(), sweep.jobs.size());
+    for (const auto &[id, wire] : jc.entries) {
+        EXPECT_EQ(wire.get("groups"), nullptr) << id;
+        EXPECT_LT(wire.dump(0).size(), 1024u) << id;
+    }
+
+    // The journaled cells rebuild the stat-free document exactly.
+    const auto merged = exp::mergeResumedOutcomes(sweep, jc.entries, {});
+    EXPECT_EQ(exp::sweepToJson(sweep, merged, false).dump(2),
+              exp::sweepToJson(sweep, outcomes, false).dump(2));
+}
+
+TEST(Journal, HeaderWithoutStatTreesKeyReadsAsKept)
+{
+    // Journals written before the key existed always kept trees.
+    const std::string path = tempPath("old_header.journal");
+    {
+        std::ofstream os(path, std::ios::trunc);
+        os << "{\"persimJournal\":1,\"sweep\":\"s\",\"jobCount\":1,"
+              "\"gridHash\":\"00000000000000ff\"}\n";
+    }
+    const exp::JournalContents jc = exp::loadJournal(path);
+    ASSERT_TRUE(jc.headerOk);
+    EXPECT_TRUE(jc.header.statTrees);
+    EXPECT_EQ(jc.header.gridHash, 0xffu);
+}
+
 TEST(Journal, AppendsHeaderAndUniqueEntries)
 {
     const std::string path = tempPath("unique.journal");

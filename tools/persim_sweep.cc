@@ -32,6 +32,7 @@
 
 #include "flags.hh"
 
+#include "exp/fault.hh"
 #include "exp/figures.hh"
 #include "exp/journal.hh"
 #include "exp/runner.hh"
@@ -98,7 +99,11 @@ usage(const char *argv0)
         "FILE.journal\n"
         "                    until the final atomic rename\n"
         "  --csv FILE        write the figure table as CSV\n"
-        "  --no-stats        omit per-job stat trees from the JSON\n"
+        "  --no-stats        omit per-job stat trees from the JSON "
+        "(and,\n"
+        "                    unless the grid's table sums stats, from "
+        "memory\n"
+        "                    and the journal)\n"
         "  --only PATTERN    run only jobs whose id contains PATTERN\n"
         "                    (substring match on \"<workload>/<config>/"
         "s<seed>\")\n"
@@ -296,6 +301,17 @@ main(int argc, char **argv)
                              "lives at FILE.journal)\n");
         return 2;
     }
+    try {
+        // A malformed directive would fail every cell alike.
+        exp::fault::fromEnv();
+    } catch (const SimFatal &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
+    // Cells keep their stat trees only when something reads them: the
+    // document's groups or a table summing stats.
+    bool keepTrees =
+        includeStats || exp::findGrid(figure).reduce.readsStats();
 
     try {
         exp::Sweep sweep = exp::figureSweep(figure, ops, cores, seed);
@@ -442,6 +458,7 @@ main(int argc, char **argv)
         header.sweep = sweep.name;
         header.jobCount = sweep.jobs.size();
         header.gridHash = exp::gridFingerprint(sweep.jobs);
+        header.statTrees = keepTrees;
 
         std::vector<std::pair<std::string, exp::JsonValue>> journaled;
         exp::Sweep runSweep = sweep;
@@ -468,6 +485,19 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(header.gridHash));
                 return 2;
             }
+            if (keepTrees && !jc.header.statTrees) {
+                std::fprintf(
+                    stderr,
+                    "error: --resume: journal %s holds no stat trees "
+                    "(written by a --no-stats run), but this run's "
+                    "document or table reads them; rerun with "
+                    "--no-stats, or without --resume to start over\n",
+                    journalPath.c_str());
+                return 2;
+            }
+            // Fresh cells follow the journal, so every line in it
+            // keeps a tree or none does.
+            keepTrees = jc.header.statTrees;
             if (jc.dropped > 0)
                 std::fprintf(stderr,
                              "warning: dropped %zu torn journal "
@@ -497,6 +527,8 @@ main(int argc, char **argv)
             journal->open(journalPath, header, /*fresh=*/!resume);
             opts.journal = journal;
         }
+
+        opts.keepStatTrees = keepTrees;
 
         std::fprintf(stderr, "%s: %zu jobs, %u worker(s)\n",
                      sweep.name.c_str(), runSweep.jobs.size(), jobs);
