@@ -7,6 +7,7 @@
 #define PERSIM_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,23 @@ struct CacheGeometry
  * preferring lines without a persist tag (so demand misses avoid
  * triggering epoch flushes when an untagged victim exists; see DESIGN.md
  * §2.2, replacement conflicts).
+ *
+ * Host layout: each set keeps its first kHomeWays ways in dense arrays
+ * built at construction. The remaining ways of a wider set (the LLC's
+ * 12 of 16) live in one overflow block, allocated the first time the
+ * set needs a way beyond its home ways, so host memory follows the
+ * lines a run fills rather than the modelled capacity. A set without
+ * a block behaves exactly as if its overflow ways were invalid and
+ * unpinned. Blocks sit in fixed pages that never move and are freed
+ * only with the array, so a CacheLine pointer stays valid for the
+ * array's lifetime.
  */
 class CacheArray
 {
   public:
+    /** Ways per set held in the dense arrays. */
+    static constexpr unsigned kHomeWays = 4;
+
     /**
      * @param name Instance name for diagnostics.
      * @param geom Size and associativity; sizeBytes must be a multiple of
@@ -60,22 +74,33 @@ class CacheArray
     CacheArray(std::string name, const CacheGeometry &geom,
                unsigned setShift = 0);
 
+    /** Callers hold CacheLine pointers into this array across events. */
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+
     /** Find the line holding @p addr, or nullptr. Does not touch LRU.
      *
-     * Hot path: the scan runs over the compact per-set tag array (8
-     * bytes per way, one or two host cache lines per set) rather than
-     * striding through the full CacheLine records. */
+     * Hot path: the scan runs over the compact tag row (8 bytes per
+     * home way, then the overflow-block slot) rather than striding
+     * through the full CacheLine records; only a set with an overflow
+     * block that misses its home ways goes on to the block's tags. */
     CacheLine *
     find(Addr addr)
     {
         addr = lineAlign(addr);
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(addr)) * _geom.ways;
-        const Addr *tags = &_tags[base];
+        const unsigned set = setIndex(addr);
+        const Addr *row = tagRow(set);
         const Addr tag = tagOf(addr);
-        for (unsigned w = 0; w < _geom.ways; ++w) {
-            if (tags[w] == tag)
-                return &_lines[base + w];
+        for (unsigned w = 0; w < _homeWays; ++w) {
+            if (row[w] == tag)
+                return &_lines[homeBase(set) + w];
+        }
+        if (_overWays == 0 || row[_homeWays] == kNoBlock)
+            return nullptr;
+        const Block b = block(row[_homeWays]);
+        for (unsigned w = 0; w < _overWays; ++w) {
+            if (b.tags[w] == tag)
+                return &b.lines[w];
         }
         return nullptr;
     }
@@ -87,7 +112,7 @@ class CacheArray
     }
 
     /**
-     * Host-side hint: pull @p addr's set (tags and first metadata
+     * Host-side hint: pull @p addr's set (tag row and first metadata
      * records) toward the host caches ahead of a find()/victimFor()
      * that runs a few events later. Purely a performance hint — no
      * simulated effect whatsoever.
@@ -95,11 +120,10 @@ class CacheArray
     void
     prefetchSet(Addr addr)
     {
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(lineAlign(addr))) *
-            _geom.ways;
-        __builtin_prefetch(&_tags[base]);
-        __builtin_prefetch(&_lines[base]);
+        const unsigned set = setIndex(lineAlign(addr));
+        const Addr *row = tagRow(set);
+        __builtin_prefetch(row);
+        __builtin_prefetch(&_lines[homeBase(set)]);
     }
 
     /**
@@ -110,7 +134,7 @@ class CacheArray
     Addr
     addrOf(const CacheLine &line) const
     {
-        return tagOf(_tags[static_cast<std::size_t>(&line - _lines.data())]);
+        return tagOf(const_cast<CacheArray *>(this)->tagSlot(line));
     }
 
     /** Mark @p line most recently used. */
@@ -124,7 +148,7 @@ class CacheArray
     void
     invalidate(CacheLine &line)
     {
-        _tags[static_cast<std::size_t>(&line - _lines.data())] = kNoLine;
+        tagSlot(line) = kNoLine;
         line.invalidate();
     }
 
@@ -136,7 +160,9 @@ class CacheArray
      * untagged lines with no L1 copies; then among untagged lines; then
      * any line. "Least eligible" is LRU under the Lru policy and a
      * uniformly random candidate under Random. The returned line is NOT
-     * modified; the caller evicts and refills.
+     * modified; the caller evicts and refills. When the first invalid
+     * way is an overflow way of a set without a block, the block is
+     * allocated here.
      *
      * @return nullptr when every way is pinned.
      */
@@ -152,15 +178,30 @@ class CacheArray
     unsigned sets() const { return _sets; }
     unsigned ways() const { return _geom.ways; }
 
-    /** Call fn(line, addr) for every valid line (diagnostics and
-     * invariant checks). */
+    /** Sets that have allocated an overflow block (host-memory probe,
+     * for tests). */
+    std::size_t overflowSets() const { return _blockCount; }
+
+    /** Call fn(line, addr) for every valid line, set by set and in way
+     * order within a set (diagnostics and invariant checks). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn)
     {
-        for (std::size_t i = 0; i < _lines.size(); ++i) {
-            if (_lines[i].valid())
-                fn(_lines[i], tagOf(_tags[i]));
+        for (unsigned set = 0; set < _sets; ++set) {
+            const Addr *row = tagRow(set);
+            CacheLine *home = &_lines[homeBase(set)];
+            for (unsigned w = 0; w < _homeWays; ++w) {
+                if (home[w].valid())
+                    fn(home[w], tagOf(row[w]));
+            }
+            if (_overWays == 0 || row[_homeWays] == kNoBlock)
+                continue;
+            const Block b = block(row[_homeWays]);
+            for (unsigned w = 0; w < _overWays; ++w) {
+                if (b.lines[w].valid())
+                    fn(b.lines[w], tagOf(b.tags[w]));
+            }
         }
     }
 
@@ -178,20 +219,103 @@ class CacheArray
      * never 0, so both arrays start out as plain zero-filled memory.
      */
     static constexpr Addr kNoLine = 0;
+    /** Overflow slot of a set without a block; a set with one stores
+     * its block number plus one. */
+    static constexpr Addr kNoBlock = 0;
+    /** Overflow blocks per page: 32 x 336 bytes for the LLC's 12
+     * overflow ways. */
+    static constexpr unsigned kBlocksPerPage = 32;
 
     static Addr tagOf(Addr lineAddr) { return ~lineAddr; }
 
-    CacheLine *setBase(unsigned set) { return &_lines[set * _geom.ways]; }
+    /** One set's overflow ways: their tags, then parallel records. */
+    struct Block
+    {
+        Addr *tags;
+        CacheLine *lines;
+    };
+
+    /** kBlocksPerPage blocks; within a page the tags run parallel to
+     * the records, so a record's index in `lines` is its tag's. */
+    struct OverflowPage
+    {
+        std::unique_ptr<Addr[]> tags;
+        std::unique_ptr<CacheLine[]> lines;
+    };
+
+    /** Tag row of @p set: its home-way tags, then (only when the
+     * geometry has overflow ways) its overflow slot. */
+    Addr *tagRow(unsigned set)
+    {
+        return &_tags[static_cast<std::size_t>(set) * _rowWidth];
+    }
+
+    std::size_t homeBase(unsigned set) const
+    {
+        return static_cast<std::size_t>(set) * _homeWays;
+    }
+
+    /** Block named by a non-empty overflow slot. */
+    Block
+    block(Addr slot) const
+    {
+        const std::size_t b = slot - 1;
+        const OverflowPage &page = _pages[b / kBlocksPerPage];
+        const std::size_t first = b % kBlocksPerPage * _overWays;
+        return Block{&page.tags[first], &page.lines[first]};
+    }
+
+    /** Tag-array entry of @p line, which must belong to this array. */
+    Addr &
+    tagSlot(const CacheLine &line)
+    {
+        const std::size_t i = wayIn(_lines.data(), _lines.size(), line);
+        if (i == _lines.size())
+            return overflowTagSlot(line);
+        if (_overWays == 0)
+            return _tags[i];
+        // A geometry with overflow ways has exactly kHomeWays home ways.
+        return tagRow(static_cast<unsigned>(i / kHomeWays))[i % kHomeWays];
+    }
+
+    /** Index of @p line in the @p n records at @p first, or @p n when
+     * it lies outside them. */
+    static std::size_t
+    wayIn(const CacheLine *first, std::size_t n, const CacheLine &line)
+    {
+        const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(&line) -
+                                   reinterpret_cast<std::uintptr_t>(first);
+        return off < n * sizeof(CacheLine) ? off / sizeof(CacheLine) : n;
+    }
+
+    Addr &overflowTagSlot(const CacheLine &line);
+
+    /** First entry of _pagesByAddr whose records start above @p line. */
+    std::vector<std::uint32_t>::iterator pagesAbove(const CacheLine *line);
+
+    /** Allocate @p set's overflow block and return its first way. */
+    CacheLine *growSet(unsigned set);
 
     std::string _name;
     CacheGeometry _geom;
     unsigned _setShift;
     unsigned _sets;
+    /** min(ways, kHomeWays), the rest, and the tag-row width. */
+    unsigned _homeWays;
+    unsigned _overWays;
+    unsigned _rowWidth;
+    /** Home ways, _homeWays records per set. */
     std::vector<CacheLine> _lines;
-    /** Parallel to _lines: tagOf(line address) of each valid way,
-     * kNoLine otherwise. find() scans this instead of the metadata
-     * records. */
+    /** Tag rows, _rowWidth entries per set: tagOf(line address) of each
+     * valid home way, kNoLine otherwise, then the overflow slot. find()
+     * scans this instead of the metadata records. */
     std::vector<Addr> _tags;
+    /** Overflow pages in allocation order (block b is in page
+     * b / kBlocksPerPage), and their indices sorted by record address
+     * for the reverse lookup of addrOf and invalidate. */
+    std::vector<OverflowPage> _pages;
+    std::vector<std::uint32_t> _pagesByAddr;
+    std::size_t _blockCount = 0;
     /** Wrapping 32-bit LRU clock; victimFor compares stamps with a
      * wrap-aware signed difference, so wraparound (once per ~4G touches)
      * never inverts the recency order within a set. */

@@ -16,12 +16,15 @@
  * epoch id is a 32-bit field, and the LRU stamp is a 32-bit wrapping
  * counter whose comparisons are wrap-aware (CacheArray::victimFor). The
  * line address is not stored here: the owning CacheArray's tag array
- * holds it, and CacheArray::addrOf recovers it.
+ * holds it, and CacheArray::addrOf recovers it. CacheArray builds only
+ * each set's first four ways up front and allocates a set's other ways
+ * on its fifth fill, so an LLC set that never holds more than four
+ * lines costs four records and a five-entry tag row.
  *
  * An empty record is all zero bytes: the core ids are stored XORed with
  * their "none" sentinel and the epoch id is stored plus one, so
- * CacheArray builds its arrays with one zero-fill instead of a
- * per-record constructor loop.
+ * CacheArray builds its home ways, and each page of overflow blocks,
+ * with one zero-fill instead of a per-record constructor loop.
  */
 
 #ifndef PERSIM_CACHE_CACHE_LINE_HH

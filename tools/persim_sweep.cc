@@ -296,6 +296,10 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--trace-flags: %s\n", e.what());
         return 2;
     }
+    if (jobs == 0) {
+        std::fprintf(stderr, "--jobs must be at least 1\n");
+        return 2;
+    }
     if (resume && outFile.empty()) {
         std::fprintf(stderr, "--resume needs --out FILE (the journal "
                              "lives at FILE.journal)\n");
@@ -388,6 +392,18 @@ main(int argc, char **argv)
                          "(see --list)\n",
                          traceJob.c_str(), sweep.name.c_str());
             return 2;
+        }
+
+        // A machine the simulator refuses (say --cores 3) would fail
+        // every cell alike, after its retries and with a journal.
+        for (const exp::ExperimentSpec &spec : sweep.jobs) {
+            try {
+                spec.toSystemConfig().validate();
+            } catch (const SimFatal &e) {
+                std::fprintf(stderr, "error: cell %s: %s\n",
+                             spec.id().c_str(), e.what());
+                return 2;
+            }
         }
 
         // Applied after seed expansion / --only so every
