@@ -341,20 +341,30 @@ def fault_resume_refuses_stats_from_no_stats_journal():
 
 
 def trace_fig11_capture_replay():
-    """Capture -> replay is byte-identical; captures validate and
-    convert losslessly."""
+    """Capture -> replay is byte-identical; every capture is ptrace v1
+    text that validates, and a capture cut in half is refused by
+    name."""
     same_runs("fig11", ("--figure", 11, "--ops", 50, "--cores", 4,
                         "--jobs", 2, "--quiet", "--no-stats"),
               ("--capture-dir", "traces"), ("--replay-dir", "traces"))
     captures = glob.glob("traces/*.ptrace")
     expect(captures, "no captured traces")
     for f in captures:
+        with open(f) as fh:
+            first = fh.readline()
+        expect(first == "ptrace v1\n", f"{f} starts with {first!r}")
         tool("persim_trace", "validate", f)
     hash_trace = "traces/fig11_hash_LB++_s1.ptrace"
     tool("persim_trace", "stats", hash_trace)
-    tool("persim_trace", "to-text", hash_trace, "hash.txt.ptrace")
-    tool("persim_trace", "to-binary", "hash.txt.ptrace", "hash.bin.ptrace")
-    same("hash.bin.ptrace", hash_trace)
+    with open(hash_trace, "rb") as fh:
+        text = fh.read()
+    with open("cut.ptrace", "wb") as fh:
+        fh.write(text[:len(text) // 2])
+    p = subprocess.run([os.path.join(BIN, "persim_trace"), "validate",
+                        "cut.ptrace"], capture_output=True, text=True)
+    expect(p.returncode == 1, f"validate of a cut trace exited "
+                              f"{p.returncode}")
+    expect("cut.ptrace" in p.stderr, p.stderr)
 
 
 def trace_fig14_capture_replay():

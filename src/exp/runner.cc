@@ -99,7 +99,7 @@ runJob(const ExperimentSpec &spec, std::size_t gridIndex,
         // Captures are written only for completed runs, so a retried
         // attempt never leaves a partial trace behind.
         if (capture)
-            capture->writeBinaryFile(spec.captureFile);
+            capture->writeFile(spec.captureFile);
         out.ok = true;
     } catch (const std::exception &e) {
         out.error = e.what();

@@ -88,11 +88,10 @@ struct ExperimentSpec
     std::uint64_t llcBankBytes = 0;
 
     /**
-     * When non-empty, the cell's cores replay this trace file (binary
-     * or text) instead of executing `workload`. Host-path state: never
-     * serialized into toJson(), so a replay run's figure output is
-     * comparable byte for byte with a direct run of the captured
-     * workload.
+     * When non-empty, the cell's cores replay this trace file instead
+     * of executing `workload`. Host-path state: never serialized into
+     * toJson(), so a replay run's figure output is comparable byte for
+     * byte with a direct run of the captured workload.
      */
     std::string traceFile;
 

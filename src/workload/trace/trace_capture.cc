@@ -7,10 +7,17 @@
 namespace persim::workload::trace
 {
 
+namespace
+{
+
+constexpr std::size_t kChunkBytes = 64 * 1024;
+
+} // namespace
+
 TraceCaptureWriter::TraceCaptureWriter(std::string name,
                                        unsigned threads,
                                        std::uint64_t seed)
-    : _streams(threads), _counts(threads, 0), _halted(threads, false)
+    : _streams(threads), _halted(threads, false)
 {
     simAssert(threads >= 1 && threads <= kMaxCores,
               "TraceCaptureWriter: thread count ", threads,
@@ -25,8 +32,11 @@ TraceCaptureWriter::append(unsigned thread, const TraceRecord &r)
 {
     simAssert(thread < _streams.size(), "capture: thread ", thread,
               " out of range");
-    appendRecord(_streams[thread], r);
-    ++_counts[thread];
+    std::vector<std::string> &chunks = _streams[thread];
+    if (chunks.empty() ||
+        chunks.back().capacity() - chunks.back().size() < kMaxRecordLine)
+        chunks.emplace_back().reserve(kChunkBytes);
+    appendRecordLine(chunks.back(), r);
 }
 
 void
@@ -41,18 +51,18 @@ TraceCaptureWriter::record(unsigned thread, const cpu::MemOp &op,
     switch (op.kind) {
       case cpu::MemOp::Kind::Load:
         r.kind = TraceRecord::Kind::Load;
-        r.addr = op.addr;
+        r.arg = op.addr;
         break;
       case cpu::MemOp::Kind::Store:
         r.kind = TraceRecord::Kind::Store;
-        r.addr = op.addr;
+        r.arg = op.addr;
         break;
       case cpu::MemOp::Kind::Barrier:
         r.kind = TraceRecord::Kind::Barrier;
         break;
       case cpu::MemOp::Kind::Compute:
         r.kind = TraceRecord::Kind::Compute;
-        r.cycles = op.cycles;
+        r.arg = op.cycles;
         break;
       case cpu::MemOp::Kind::Halt:
         r.kind = TraceRecord::Kind::Halt;
@@ -71,49 +81,26 @@ TraceCaptureWriter::noteTransactions(unsigned thread,
     TraceRecord r;
     r.kind = TraceRecord::Kind::TxnMark;
     r.tick = now;
-    r.count = delta;
+    r.arg = delta;
     append(thread, r);
 }
 
-std::uint64_t
-TraceCaptureWriter::totalRecords() const
-{
-    std::uint64_t total = 0;
-    for (std::uint64_t c : _counts)
-        total += c;
-    return total;
-}
-
-std::string
-TraceCaptureWriter::encode() const
-{
-    std::string out;
-    out.append(kTraceMagic, sizeof(kTraceMagic));
-    appendU32(out, _meta.version);
-    appendU32(out, static_cast<std::uint32_t>(_streams.size()));
-    appendU64(out, _meta.seed);
-    appendU32(out, static_cast<std::uint32_t>(_meta.name.size()));
-    out.append(_meta.name);
-    appendU32(out, crc32(out.data(), out.size()));
-    for (std::size_t t = 0; t < _streams.size(); ++t) {
-        appendU32(out, static_cast<std::uint32_t>(t));
-        appendU64(out, _counts[t]);
-        appendU64(out, _streams[t].size());
-        appendU32(out, crc32(_streams[t].data(), _streams[t].size()));
-        out.append(_streams[t]);
-    }
-    return out;
-}
-
 void
-TraceCaptureWriter::writeBinaryFile(const std::string &path) const
+TraceCaptureWriter::writeFile(const std::string &path) const
 {
     std::ofstream os(path, std::ios::binary);
     if (!os)
         fatal("trace capture: cannot write ", path);
-    const std::string bytes = encode();
-    os.write(bytes.data(),
-             static_cast<std::streamsize>(bytes.size()));
+    std::string header;
+    appendHeader(header, _meta);
+    os << header;
+    for (std::size_t t = 0; t < _streams.size(); ++t) {
+        os << "thread " << t << '\n';
+        for (const std::string &chunk : _streams[t])
+            os.write(chunk.data(),
+                     static_cast<std::streamsize>(chunk.size()));
+    }
+    os.close();
     if (!os)
         fatal("trace capture: short write to ", path);
 }

@@ -1,18 +1,15 @@
 #include "workload/trace/trace_format.hh"
 
-#include <array>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
+#include <fstream>
 #include <istream>
-#include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "sim/logging.hh"
 
 namespace persim::workload::trace
 {
-
-const char kTraceMagic[8] = {'P', 'E', 'R', 'S', 'I', 'M', 'T', 'R'};
 
 const char *
 toString(TraceRecord::Kind kind)
@@ -38,475 +35,383 @@ toString(TraceRecord::Kind kind)
     return "?";
 }
 
-// ---------------------------------------------------------------------
-// CRC32 and varints
-// ---------------------------------------------------------------------
-
-namespace
+std::uint64_t
+TraceData::totalRecords() const
 {
-
-const std::array<std::uint32_t, 256> &
-crcTable()
-{
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
-
-} // namespace
-
-std::uint32_t
-crc32(const void *data, std::size_t len, std::uint32_t seed)
-{
-    const auto &table = crcTable();
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
-
-void
-appendVarint(std::string &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-bool
-decodeVarint(const char *&p, const char *end, std::uint64_t &out)
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p != end) {
-        const auto byte = static_cast<unsigned char>(*p++);
-        if (shift >= 64 || (shift == 63 && (byte & 0x7E)))
-            return false; // would overflow 64 bits
-        v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if (!(byte & 0x80)) {
-            out = v;
-            return true;
-        }
-        shift += 7;
-    }
-    return false; // buffer ended mid-varint
+    std::uint64_t total = 0;
+    for (const auto &stream : streams)
+        total += stream.size();
+    return total;
 }
 
 // ---------------------------------------------------------------------
-// Record encoding
-// ---------------------------------------------------------------------
-
-void
-appendRecord(std::string &out, const TraceRecord &r)
-{
-    out.push_back(static_cast<char>(r.kind));
-    appendVarint(out, r.tick);
-    switch (r.kind) {
-      case TraceRecord::Kind::Load:
-      case TraceRecord::Kind::Store:
-      case TraceRecord::Kind::Lock:
-      case TraceRecord::Kind::Unlock:
-        appendVarint(out, r.addr);
-        break;
-      case TraceRecord::Kind::Compute:
-        appendVarint(out, r.cycles);
-        break;
-      case TraceRecord::Kind::TxnMark:
-        appendVarint(out, r.count);
-        break;
-      case TraceRecord::Kind::Barrier:
-      case TraceRecord::Kind::Halt:
-        break;
-    }
-}
-
-bool
-decodeRecord(const char *&p, const char *end, TraceRecord &out,
-             std::string &err)
-{
-    if (p == end) {
-        err = "record truncated (no opcode byte)";
-        return false;
-    }
-    const auto opcode = static_cast<unsigned char>(*p++);
-    if (opcode >= kNumRecordKinds) {
-        err = detail::concat("unknown opcode ", unsigned(opcode));
-        return false;
-    }
-    out = TraceRecord{};
-    out.kind = static_cast<TraceRecord::Kind>(opcode);
-    std::uint64_t v = 0;
-    if (!decodeVarint(p, end, v)) {
-        err = "record truncated (timestamp varint)";
-        return false;
-    }
-    out.tick = v;
-    switch (out.kind) {
-      case TraceRecord::Kind::Load:
-      case TraceRecord::Kind::Store:
-      case TraceRecord::Kind::Lock:
-      case TraceRecord::Kind::Unlock:
-        if (!decodeVarint(p, end, v)) {
-            err = "record truncated (address varint)";
-            return false;
-        }
-        out.addr = v;
-        break;
-      case TraceRecord::Kind::Compute:
-        if (!decodeVarint(p, end, v) || v > 0xFFFFFFFFull) {
-            err = "record truncated or oversized (compute cycles)";
-            return false;
-        }
-        out.cycles = static_cast<std::uint32_t>(v);
-        break;
-      case TraceRecord::Kind::TxnMark:
-        if (!decodeVarint(p, end, v)) {
-            err = "record truncated (transaction count)";
-            return false;
-        }
-        out.count = v;
-        break;
-      case TraceRecord::Kind::Barrier:
-      case TraceRecord::Kind::Halt:
-        break;
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------
-// Whole-trace binary encoding
-// ---------------------------------------------------------------------
-
-std::string
-encodeTrace(const TraceData &data)
-{
-    std::string out;
-    out.append(kTraceMagic, sizeof(kTraceMagic));
-    appendU32(out, data.meta.version);
-    appendU32(out, static_cast<std::uint32_t>(data.streams.size()));
-    appendU64(out, data.meta.seed);
-    appendU32(out, static_cast<std::uint32_t>(data.meta.name.size()));
-    out.append(data.meta.name);
-    appendU32(out, crc32(out.data(), out.size()));
-
-    for (std::size_t t = 0; t < data.streams.size(); ++t) {
-        std::string stream;
-        for (const TraceRecord &r : data.streams[t])
-            appendRecord(stream, r);
-        appendU32(out, static_cast<std::uint32_t>(t));
-        appendU64(out, data.streams[t].size());
-        appendU64(out, stream.size());
-        appendU32(out, crc32(stream.data(), stream.size()));
-        out.append(stream);
-    }
-    return out;
-}
-
-bool
-looksBinary(const std::string &head)
-{
-    return head.size() >= sizeof(kTraceMagic) &&
-           std::memcmp(head.data(), kTraceMagic, sizeof(kTraceMagic)) ==
-               0;
-}
-
-// ---------------------------------------------------------------------
-// Text form
+// Parsing
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Strip comments and surrounding whitespace. */
-std::string
-cleanLine(const std::string &raw)
+bool
+isSpace(char c)
 {
-    std::string s = raw;
-    if (auto pos = s.find('#'); pos != std::string::npos)
-        s.erase(pos);
-    const auto first = s.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos)
-        return "";
-    const auto last = s.find_last_not_of(" \t\r\n");
-    return s.substr(first, last - first + 1);
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n' ||
+           c == '\v' || c == '\f';
 }
 
+/** Strip the comment and surrounding whitespace (for messages). */
+std::string_view
+cleanLine(std::string_view s)
+{
+    if (auto pos = s.find('#'); pos != std::string_view::npos)
+        s = s.substr(0, pos);
+    while (!s.empty() && isSpace(s.front()))
+        s.remove_prefix(1);
+    while (!s.empty() && isSpace(s.back()))
+        s.remove_suffix(1);
+    return s;
+}
+
+/** No line has more than three tokens ("@TICK op arg"). */
+constexpr unsigned kMaxTokens = 3;
+
+/**
+ * Split @p line at whitespace into @p toks, stopping at a comment.
+ * @return the token count, or kMaxTokens + 1 when there are more.
+ */
+unsigned
+tokenize(std::string_view line, std::string_view (&toks)[kMaxTokens])
+{
+    unsigned n = 0;
+    std::size_t i = 0;
+    while (true) {
+        while (i < line.size() && isSpace(line[i]))
+            ++i;
+        if (i == line.size() || line[i] == '#')
+            return n;
+        if (n == kMaxTokens)
+            return n + 1;
+        std::size_t j = i;
+        while (j < line.size() && !isSpace(line[j]) && line[j] != '#')
+            ++j;
+        toks[n++] = line.substr(i, j - i);
+        i = j;
+    }
+}
+
+/**
+ * Splits an input stream into lines (without their '\n'), reading it
+ * in blocks: a trace has millions of short lines, and scanning a
+ * block with memchr costs a fraction of one std::getline per line.
+ */
+class LineReader
+{
+  public:
+    explicit LineReader(std::istream &is) : _is(is), _buf(1 << 16) {}
+
+    /** The next line, valid until the following call; false at EOF. */
+    bool
+    next(std::string_view &line)
+    {
+        while (true) {
+            const char *begin = _buf.data() + _begin;
+            const std::size_t avail = _end - _begin;
+            if (const auto *nl = static_cast<const char *>(
+                    std::memchr(begin, '\n', avail))) {
+                line = std::string_view(
+                    begin, static_cast<std::size_t>(nl - begin));
+                _begin += line.size() + 1;
+                return true;
+            }
+            if (_eof) {
+                line = std::string_view(begin, avail);
+                _begin = _end;
+                return avail != 0; // a last line without its '\n'
+            }
+            // Keep the partial line, then refill behind it; a line
+            // longer than the buffer doubles it.
+            std::memmove(_buf.data(), begin, avail);
+            _begin = 0;
+            _end = avail;
+            if (_end == _buf.size())
+                _buf.resize(2 * _buf.size());
+            _is.read(_buf.data() + _end,
+                     static_cast<std::streamsize>(_buf.size() - _end));
+            _end += static_cast<std::size_t>(_is.gcount());
+            _eof = !_is;
+        }
+    }
+
+  private:
+    std::istream &_is;
+    std::vector<char> _buf;
+    std::size_t _begin = 0;
+    std::size_t _end = 0;
+    bool _eof = false;
+};
+
+template <typename... Args>
 [[noreturn]] void
 parseError(const std::string &src, std::size_t lineNo,
-           const std::string &msg)
+           const Args &...args)
 {
-    fatal("trace text ", src, ":", lineNo, ": ", msg);
+    fatal("trace text ", src, ":", lineNo, ": ", args...);
 }
 
+/** An unsigned 64-bit number, "0x"-prefixed hex or decimal; no sign. */
 std::uint64_t
 parseUint(const std::string &src, std::size_t lineNo,
-          const std::string &tok, const char *what)
+          std::string_view tok, const char *what)
 {
-    if (tok.empty())
-        parseError(src, lineNo, detail::concat("missing ", what));
-    const int base =
-        tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X')
-            ? 16
-            : 10;
-    std::uint64_t v = 0;
-    std::size_t consumed = 0;
-    try {
-        v = std::stoull(base == 16 ? tok.substr(2) : tok, &consumed,
-                        base);
-    } catch (const std::exception &) {
-        parseError(src, lineNo,
-                   detail::concat("bad ", what, " '", tok, "'"));
+    std::string_view digits = tok;
+    int base = 10;
+    if (tok.size() > 2 && tok[0] == '0' &&
+        (tok[1] == 'x' || tok[1] == 'X')) {
+        digits.remove_prefix(2);
+        base = 16;
     }
-    const std::size_t expect =
-        base == 16 ? tok.size() - 2 : tok.size();
-    if (consumed != expect)
-        parseError(src, lineNo,
-                   detail::concat("bad ", what, " '", tok, "'"));
+    std::uint64_t v = 0;
+    const char *end = digits.data() + digits.size();
+    const auto [p, ec] = std::from_chars(digits.data(), end, v, base);
+    if (ec != std::errc() || p != end)
+        parseError(src, lineNo, "bad ", what, " '", tok, "'");
     return v;
-}
-
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> toks;
-    std::istringstream ss(line);
-    std::string tok;
-    while (ss >> tok)
-        toks.push_back(tok);
-    return toks;
 }
 
 } // namespace
 
 TraceData
-parseTextTrace(std::istream &is, const std::string &sourceName)
+parseTrace(std::istream &is, const std::string &src)
 {
     TraceData data;
-    data.meta.name = "trace";
+    data.source = src;
 
-    std::string raw;
+    LineReader lines(is);
+    std::string_view raw;
     std::size_t lineNo = 0;
     bool sawHeader = false;
     bool sawThreads = false;
     int curThread = -1;
+    // The section being parsed. A finished one is copied out at its
+    // exact size: growing each trace vector by doubling would fault in
+    // about twice its size in fresh pages.
+    std::vector<TraceRecord> section;
     Tick prevTick = 0;
     bool halted = false;
+    std::string_view toks[kMaxTokens];
 
-    while (std::getline(is, raw)) {
+    while (lines.next(raw)) {
         ++lineNo;
-        const std::string line = cleanLine(raw);
-        if (line.empty())
+        const unsigned n = tokenize(raw, toks);
+        if (n == 0)
             continue;
-        const std::vector<std::string> toks = tokenize(line);
+        auto line = [raw] { return cleanLine(raw); };
 
         if (!sawHeader) {
-            if (toks.size() != 2 || toks[0] != "ptrace" ||
-                toks[1] != "v1") {
-                parseError(sourceName, lineNo,
-                           "expected 'ptrace v1' header, got '" + line +
-                               "'");
-            }
+            if (n != 2 || toks[0] != "ptrace" || toks[1] != "v1")
+                parseError(src, lineNo,
+                           "expected 'ptrace v1' header, got '", line(),
+                           "'");
             sawHeader = true;
             continue;
         }
 
         if (toks[0] == "name") {
-            if (toks.size() != 2)
-                parseError(sourceName, lineNo, "name wants one token");
+            if (n != 2)
+                parseError(src, lineNo, "name wants one token");
             data.meta.name = toks[1];
             continue;
         }
         if (toks[0] == "seed") {
-            if (toks.size() != 2)
-                parseError(sourceName, lineNo, "seed wants one value");
-            data.meta.seed = parseUint(sourceName, lineNo, toks[1],
-                                       "seed");
+            if (n != 2)
+                parseError(src, lineNo, "seed wants one value");
+            data.meta.seed = parseUint(src, lineNo, toks[1], "seed");
             continue;
         }
         if (toks[0] == "threads") {
             if (sawThreads)
-                parseError(sourceName, lineNo, "duplicate threads line");
-            if (toks.size() != 2)
-                parseError(sourceName, lineNo, "threads wants a count");
-            const std::uint64_t n =
-                parseUint(sourceName, lineNo, toks[1], "thread count");
-            if (n == 0 || n > kMaxCores)
-                parseError(sourceName, lineNo,
-                           detail::concat("thread count ", n,
-                                          " out of range [1, ",
-                                          kMaxCores, "]"));
+                parseError(src, lineNo, "duplicate threads line");
+            if (n != 2)
+                parseError(src, lineNo, "threads wants a count");
+            const std::uint64_t count =
+                parseUint(src, lineNo, toks[1], "thread count");
+            if (count == 0 || count > kMaxCores)
+                parseError(src, lineNo, "thread count ", count,
+                           " out of range [1, ", kMaxCores, "]");
             sawThreads = true;
-            data.meta.threadCount = static_cast<std::uint32_t>(n);
-            data.streams.resize(n);
+            data.meta.threadCount = static_cast<std::uint32_t>(count);
+            data.streams.resize(count);
             continue;
         }
         if (toks[0] == "thread") {
             if (!sawThreads)
-                parseError(sourceName, lineNo,
-                           "'thread' before 'threads N'");
-            if (toks.size() != 2)
-                parseError(sourceName, lineNo, "thread wants an id");
+                parseError(src, lineNo, "'thread' before 'threads N'");
+            if (n != 2)
+                parseError(src, lineNo, "thread wants an id");
             const std::uint64_t id =
-                parseUint(sourceName, lineNo, toks[1], "thread id");
-            if (static_cast<int>(id) != curThread + 1)
-                parseError(sourceName, lineNo,
-                           detail::concat("thread sections must be "
-                                          "sequential: expected thread ",
-                                          curThread + 1, ", got ", id));
+                parseUint(src, lineNo, toks[1], "thread id");
+            if (id != static_cast<std::uint64_t>(curThread + 1))
+                parseError(src, lineNo,
+                           "thread sections must be sequential: "
+                           "expected thread ",
+                           curThread + 1, ", got ", id);
             if (id >= data.meta.threadCount)
-                parseError(sourceName, lineNo,
-                           detail::concat("thread ", id,
-                                          " >= declared thread count ",
-                                          data.meta.threadCount));
+                parseError(src, lineNo, "thread ", id,
+                           " >= declared thread count ",
+                           data.meta.threadCount);
+            if (curThread >= 0 && !halted)
+                parseError(src, lineNo, "thread ", curThread,
+                           " does not end in halt (truncated?)");
+            if (curThread >= 0)
+                data.streams[curThread].assign(section.begin(),
+                                               section.end());
+            section.clear();
             curThread = static_cast<int>(id);
             prevTick = 0;
             halted = false;
             continue;
         }
 
-        // Anything else must be a record line: "@TICK kind [arg]".
+        // Anything else must be a record line: "@TICK op [arg]".
         if (curThread < 0)
-            parseError(sourceName, lineNo,
-                       "record before the first 'thread' section: '" +
-                           line + "'");
+            parseError(src, lineNo,
+                       "record before the first 'thread' section: '",
+                       line(), "'");
         if (toks[0].size() < 2 || toks[0][0] != '@')
-            parseError(sourceName, lineNo,
-                       "expected '@tick op ...', got '" + line + "'");
+            parseError(src, lineNo, "expected '@tick op ...', got '",
+                       line(), "'");
         if (halted)
-            parseError(sourceName, lineNo,
-                       detail::concat("thread ", curThread,
-                                      ": record after halt"));
+            parseError(src, lineNo, "thread ", curThread,
+                       ": record after halt");
         TraceRecord r;
-        r.tick = parseUint(sourceName, lineNo, toks[0].substr(1),
-                           "timestamp");
+        r.tick = parseUint(src, lineNo, toks[0].substr(1), "timestamp");
         if (r.tick < prevTick)
-            parseError(sourceName, lineNo,
-                       detail::concat("thread ", curThread,
-                                      ": timestamp ", r.tick,
-                                      " is out of order (previous ",
-                                      prevTick, ")"));
+            parseError(src, lineNo, "thread ", curThread, ": timestamp ",
+                       r.tick, " is out of order (previous ", prevTick,
+                       ")");
         prevTick = r.tick;
-        if (toks.size() < 2)
-            parseError(sourceName, lineNo, "missing op after timestamp");
-        const std::string &op = toks[1];
-        auto wantArg = [&](const char *what) -> std::uint64_t {
-            if (toks.size() != 3)
-                parseError(sourceName, lineNo,
-                           detail::concat(op, " wants a ", what));
-            return parseUint(sourceName, lineNo, toks[2], what);
+        if (n < 2)
+            parseError(src, lineNo, "missing op after timestamp");
+        const std::string_view op = toks[1];
+        auto wantArg = [&](const char *what) {
+            if (n != 3)
+                parseError(src, lineNo, op, " wants a ", what);
+            return parseUint(src, lineNo, toks[2], what);
         };
         auto wantNone = [&] {
-            if (toks.size() != 2)
-                parseError(sourceName, lineNo,
-                           op + " takes no argument");
+            if (n != 2)
+                parseError(src, lineNo, op, " takes no argument");
         };
         if (op == "load") {
             r.kind = TraceRecord::Kind::Load;
-            r.addr = wantArg("address");
+            r.arg = wantArg("address");
         } else if (op == "store") {
             r.kind = TraceRecord::Kind::Store;
-            r.addr = wantArg("address");
+            r.arg = wantArg("address");
         } else if (op == "barrier") {
             r.kind = TraceRecord::Kind::Barrier;
             wantNone();
         } else if (op == "compute") {
-            const std::uint64_t c = wantArg("cycle count");
-            if (c > 0xFFFFFFFFull)
-                parseError(sourceName, lineNo,
-                           detail::concat("compute cycles ", c,
-                                          " exceed 32 bits"));
             r.kind = TraceRecord::Kind::Compute;
-            r.cycles = static_cast<std::uint32_t>(c);
+            r.arg = wantArg("cycle count");
+            if (r.arg > 0xFFFFFFFFull)
+                parseError(src, lineNo, "compute cycles ", r.arg,
+                           " exceed 32 bits");
         } else if (op == "lock") {
             r.kind = TraceRecord::Kind::Lock;
-            r.addr = wantArg("address");
+            r.arg = wantArg("address");
         } else if (op == "unlock") {
             r.kind = TraceRecord::Kind::Unlock;
-            r.addr = wantArg("address");
+            r.arg = wantArg("address");
         } else if (op == "txn") {
             r.kind = TraceRecord::Kind::TxnMark;
-            r.count = wantArg("transaction count");
+            r.arg = wantArg("transaction count");
         } else if (op == "halt") {
             r.kind = TraceRecord::Kind::Halt;
             wantNone();
             halted = true;
         } else {
-            parseError(sourceName, lineNo, "unknown op '" + op + "'");
+            parseError(src, lineNo, "unknown op '", op, "'");
         }
-        data.streams[static_cast<std::size_t>(curThread)].push_back(r);
+        section.push_back(r);
     }
 
+    if (is.bad())
+        fatal("trace text ", src, ": read error after line ", lineNo);
     if (!sawHeader)
-        fatal("trace text ", sourceName, ": empty input (no 'ptrace v1' "
-              "header)");
+        fatal("trace text ", src,
+              ": empty input (no 'ptrace v1' header)");
     if (!sawThreads)
-        fatal("trace text ", sourceName, ": missing 'threads N' line");
+        fatal("trace text ", src, ": missing 'threads N' line");
+    if (curThread >= 0 && !halted)
+        fatal("trace text ", src, ": thread ", curThread,
+              " does not end in halt (truncated?)");
+    if (curThread >= 0)
+        data.streams[curThread].assign(section.begin(), section.end());
     if (curThread + 1 != static_cast<int>(data.meta.threadCount))
-        fatal("trace text ", sourceName, ": found ", curThread + 1,
+        fatal("trace text ", src, ": found ", curThread + 1,
               " thread section(s) but the header declares ",
               data.meta.threadCount);
     return data;
 }
 
-void
-writeTextTrace(std::ostream &os, const TraceData &data)
+std::shared_ptr<const TraceData>
+openTrace(const std::string &path)
 {
-    os << "ptrace v1\n";
-    os << "name " << data.meta.name << "\n";
-    os << "seed " << data.meta.seed << "\n";
-    os << "threads " << data.streams.size() << "\n";
-    char buf[32];
-    for (std::size_t t = 0; t < data.streams.size(); ++t) {
-        os << "thread " << t << "\n";
-        for (const TraceRecord &r : data.streams[t]) {
-            os << '@' << r.tick << ' ' << toString(r.kind);
-            switch (r.kind) {
-              case TraceRecord::Kind::Load:
-              case TraceRecord::Kind::Store:
-              case TraceRecord::Kind::Lock:
-              case TraceRecord::Kind::Unlock:
-                std::snprintf(buf, sizeof(buf), " 0x%llx",
-                              static_cast<unsigned long long>(r.addr));
-                os << buf;
-                break;
-              case TraceRecord::Kind::Compute:
-                os << ' ' << r.cycles;
-                break;
-              case TraceRecord::Kind::TxnMark:
-                os << ' ' << r.count;
-                break;
-              case TraceRecord::Kind::Barrier:
-              case TraceRecord::Kind::Halt:
-                break;
-            }
-            os << '\n';
-        }
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        fatal("trace ", path, ": cannot open file");
+    return std::make_shared<const TraceData>(parseTrace(is, path));
+}
+
+// ---------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------
+
+void
+appendHeader(std::string &out, const TraceMeta &meta)
+{
+    out += "ptrace v1\nname ";
+    out += meta.name;
+    out += "\nseed ";
+    out += std::to_string(meta.seed);
+    out += "\nthreads ";
+    out += std::to_string(meta.threadCount);
+    out += '\n';
+}
+
+void
+appendRecordLine(std::string &out, const TraceRecord &r)
+{
+    // '@', 20 tick digits, " compute", " 0x" and 16 hex digits, '\n'.
+    char buf[kMaxRecordLine];
+    char *const end = buf + sizeof(buf);
+    char *p = buf;
+    *p++ = '@';
+    p = std::to_chars(p, end, r.tick).ptr;
+    *p++ = ' ';
+    const char *name = toString(r.kind);
+    const std::size_t len = std::strlen(name);
+    std::memcpy(p, name, len);
+    p += len;
+    switch (r.kind) {
+      case TraceRecord::Kind::Load:
+      case TraceRecord::Kind::Store:
+      case TraceRecord::Kind::Lock:
+      case TraceRecord::Kind::Unlock:
+        std::memcpy(p, " 0x", 3);
+        p = std::to_chars(p + 3, end, r.arg, 16).ptr;
+        break;
+      case TraceRecord::Kind::Compute:
+      case TraceRecord::Kind::TxnMark:
+        *p++ = ' ';
+        p = std::to_chars(p, end, r.arg).ptr;
+        break;
+      case TraceRecord::Kind::Barrier:
+      case TraceRecord::Kind::Halt:
+        break;
     }
+    *p++ = '\n';
+    out.append(buf, p);
 }
 
 } // namespace persim::workload::trace

@@ -1,24 +1,28 @@
 /**
  * @file
- * The Persimmon workload trace format (version 1).
+ * The Persimmon workload trace format ("ptrace v1" text).
  *
  * A trace is the complete per-thread operation stream of one
  * multi-threaded workload run: loads, stores, persist barriers,
  * compute (think-time) gaps, lock/unlock operations, transaction
  * markers, and a final halt, each stamped with the simulated tick at
- * which the operation was issued. Traces exist in two interconvertible
- * forms:
+ * which the operation was issued. It is line-oriented text, so a
+ * capture is also the form people read, edit and write by hand:
  *
- *   - A compact binary form (magic / version / CRC32-protected header
- *     and per-thread streams of varint-encoded records) produced by
- *     TraceCapture and consumed by the streaming TraceReader.
- *   - A line-oriented text form ("ptrace v1") for hand-written tests
- *     and human inspection, converted both ways by tools/persim_trace.
+ *   ptrace v1
+ *   name canneal     # optional; default "trace"
+ *   seed 1           # optional; default 1
+ *   threads 2
+ *   thread 0
+ *   @0 load 0x1000   # @TICK op [arg]; arg is hex or decimal
+ *   @9 halt          # every section ends in halt
+ *   thread 1
+ *   ...
  *
+ * Blank lines and CRLF line ends are accepted too.
  * The format is self-describing (thread count, originating workload
  * name, base seed) so a replay run can validate itself against the
- * experiment it is plugged into. All multi-byte header integers are
- * little-endian; record payloads are unsigned LEB128 varints.
+ * experiment it is plugged into.
  */
 
 #ifndef PERSIM_WORKLOAD_TRACE_TRACE_FORMAT_HH
@@ -26,6 +30,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,59 +39,44 @@
 namespace persim::workload::trace
 {
 
-/** 8-byte file magic ("PERSIMTR"). */
-extern const char kTraceMagic[8];
-
-/** Current (and only) binary format version. */
-constexpr std::uint32_t kTraceVersion = 1;
-
 /** One operation of a per-thread trace stream. */
 struct TraceRecord
 {
-    /**
-     * Wire opcodes; values are part of the versioned format and must
-     * never be renumbered.
-     */
     enum class Kind : std::uint8_t
     {
-        Load = 0,    // blocking read of addr
-        Store = 1,   // buffered write of addr
-        Barrier = 2, // persist barrier / epoch boundary
-        Compute = 3, // cycles of non-memory think time
-        Lock = 4,    // acquire the lock word at addr (spin until held)
-        Unlock = 5,  // release the lock word at addr
-        TxnMark = 6, // count application transactions completed
-        Halt = 7,    // thread finished; must be the last record
+        Load,    // blocking read of the address in arg
+        Store,   // buffered write of the address in arg
+        Barrier, // persist barrier / epoch boundary
+        Compute, // arg cycles (< 2^32) of non-memory think time
+        Lock,    // acquire the lock word at arg (spin until held)
+        Unlock,  // release the lock word at arg
+        TxnMark, // arg application transactions completed
+        Halt,    // thread finished; the last record of every stream
     };
-
-    Kind kind = Kind::Halt;
 
     /** Issue timestamp (simulated tick); monotonic within a thread. */
     Tick tick = 0;
 
-    /** Target address (Load/Store/Lock/Unlock). */
-    Addr addr = 0;
+    /** The one payload: address, compute cycles or transaction count. */
+    std::uint64_t arg = 0;
 
-    /** Think time in cycles (Compute). */
-    std::uint32_t cycles = 0;
-
-    /** Completed-transaction increment (TxnMark). */
-    std::uint64_t count = 0;
+    Kind kind = Kind::Halt;
 
     bool operator==(const TraceRecord &o) const = default;
 };
 
-/** Wire name of a record kind ("load", "store", ...). */
+static_assert(sizeof(TraceRecord) == 24,
+              "replay holds every record of a trace in memory");
+
+/** Text name of a record kind ("load", "store", ...). */
 const char *toString(TraceRecord::Kind kind);
 
 /** Number of distinct record kinds (histogram sizing). */
 constexpr unsigned kNumRecordKinds = 8;
 
-/** Trace-wide metadata carried in the binary header. */
+/** Trace-wide metadata carried in the header lines. */
 struct TraceMeta
 {
-    std::uint32_t version = kTraceVersion;
-
     /** Originating workload name ("hash", "canneal", or free-form). */
     std::string name = "trace";
 
@@ -97,70 +87,41 @@ struct TraceMeta
     std::uint64_t seed = 1;
 };
 
-/** A fully materialized trace: metadata plus per-thread record lists. */
+/** A parsed trace: metadata plus per-thread record lists. */
 struct TraceData
 {
     TraceMeta meta;
-    /** streams[t] is thread t's record list (may be empty). */
+
+    /** streams[t] is thread t's record list; each ends in Halt. */
     std::vector<std::vector<TraceRecord>> streams;
+
+    /** File the trace was read from (labels error messages). */
+    std::string source;
+
+    std::uint64_t totalRecords() const;
 };
 
-// ---------------------------------------------------------------------
-// Low-level encoding primitives (exposed so tests can craft malformed
-// files byte by byte and so the capture writer can stream-encode).
-// ---------------------------------------------------------------------
-
-/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of @p len bytes. */
-std::uint32_t crc32(const void *data, std::size_t len,
-                    std::uint32_t seed = 0);
-
-/** Append @p v to @p out as an unsigned LEB128 varint. */
-void appendVarint(std::string &out, std::uint64_t v);
-
-/** Append @p v little-endian. */
-void appendU32(std::string &out, std::uint32_t v);
-void appendU64(std::string &out, std::uint64_t v);
-
 /**
- * Decode a varint from [@p p, @p end); advances @p p past it.
- * @return false when the buffer ends mid-varint or the value would
- *         overflow 64 bits.
+ * Parse a trace from @p is. This is the one validator: it throws
+ * SimFatal naming @p sourceName (and the line, where there is one) on
+ * a syntax error, a missing or duplicate header or thread section, a
+ * non-monotonic timestamp, a record after halt, a section that does
+ * not end in halt (a truncated file), or a number that is signed or
+ * out of range.
  */
-bool decodeVarint(const char *&p, const char *end, std::uint64_t &out);
+TraceData parseTrace(std::istream &is, const std::string &sourceName);
 
-/** Append one encoded record to @p out. */
-void appendRecord(std::string &out, const TraceRecord &r);
+/** Parse the trace file at @p path (SimFatal naming it on error). */
+std::shared_ptr<const TraceData> openTrace(const std::string &path);
 
-/**
- * Decode one record from [@p p, @p end); advances @p p.
- * @return false on a truncated or malformed record (unknown opcode,
- *         varint overrun); @p err then holds a description.
- */
-bool decodeRecord(const char *&p, const char *end, TraceRecord &out,
-                  std::string &err);
+/** Append the header lines: "ptrace v1", name, seed, threads. */
+void appendHeader(std::string &out, const TraceMeta &meta);
 
-// ---------------------------------------------------------------------
-// Whole-trace conversions
-// ---------------------------------------------------------------------
+/** Longest line appendRecordLine() writes, in bytes. */
+constexpr std::size_t kMaxRecordLine = 64;
 
-/** Serialize @p data to complete binary-trace bytes. */
-std::string encodeTrace(const TraceData &data);
-
-/**
- * Parse the line-oriented text form from @p is.
- *
- * Throws SimFatal naming the offending line on any syntax error,
- * missing/duplicate thread section, non-monotonic timestamp, or
- * record after halt. @p sourceName labels error messages (file name).
- */
-TraceData parseTextTrace(std::istream &is,
-                         const std::string &sourceName = "<text>");
-
-/** Write @p data in canonical text form. */
-void writeTextTrace(std::ostream &os, const TraceData &data);
-
-/** True when @p bytes begin with the binary-trace magic. */
-bool looksBinary(const std::string &head);
+/** Append @p r as one record line ("@TICK op [arg]\n"). */
+void appendRecordLine(std::string &out, const TraceRecord &r);
 
 } // namespace persim::workload::trace
 

@@ -6,15 +6,20 @@ namespace persim::workload::trace
 {
 
 TraceReplayWorkload::TraceReplayWorkload(
-    std::shared_ptr<const TraceReader> reader, unsigned thread,
+    std::shared_ptr<const TraceData> trace, unsigned thread,
     std::shared_ptr<LockManager> locks)
-    : _reader(std::move(reader)), _locks(std::move(locks)),
-      _thread(thread), _cursor(_reader->stream(thread)),
+    : _trace(std::move(trace)), _locks(std::move(locks)),
+      _thread(thread), _next(_trace->streams.at(thread).data()),
       // Same derivation as MicroBenchmark so identical seeds give
       // identical backoff draws.
-      _rng(_reader->meta().seed * 0x5851F42D4C957F2DULL + thread + 1)
+      _rng(_trace->meta.seed * 0x5851F42D4C957F2DULL + thread + 1)
 {
     simAssert(_locks != nullptr, "TraceReplayWorkload: null locks");
+    const auto &stream = _trace->streams[thread];
+    simAssert(!stream.empty() &&
+                  stream.back().kind == TraceRecord::Kind::Halt,
+              "TraceReplayWorkload: thread ", thread,
+              " stream does not end in halt");
 }
 
 cpu::MemOp
@@ -40,36 +45,32 @@ TraceReplayWorkload::next(Tick now)
         break;
     }
 
-    TraceRecord r;
-    while (_cursor.next(r)) {
+    while (true) {
+        const TraceRecord &r = *_next++;
         switch (r.kind) {
           case TraceRecord::Kind::Load:
-            return cpu::MemOp::load(r.addr);
+            return cpu::MemOp::load(r.arg);
           case TraceRecord::Kind::Store:
-            return cpu::MemOp::store(r.addr);
+            return cpu::MemOp::store(r.arg);
           case TraceRecord::Kind::Barrier:
             return cpu::MemOp::barrier();
           case TraceRecord::Kind::Compute:
-            return cpu::MemOp::compute(r.cycles);
+            return cpu::MemOp::compute(static_cast<std::uint32_t>(r.arg));
           case TraceRecord::Kind::Lock:
-            _lockAddr = r.addr;
+            _lockAddr = r.arg;
             _lockPhase = LockPhase::Probe;
             return cpu::MemOp::load(_lockAddr);
           case TraceRecord::Kind::Unlock:
-            _locks->release(r.addr, static_cast<CoreId>(_thread));
-            return cpu::MemOp::store(r.addr);
+            _locks->release(r.arg, static_cast<CoreId>(_thread));
+            return cpu::MemOp::store(r.arg);
           case TraceRecord::Kind::TxnMark:
-            _txns += r.count;
+            _txns += r.arg;
             continue;
           case TraceRecord::Kind::Halt:
             _haltEmitted = true;
             return cpu::MemOp::halt();
         }
     }
-    // Stream exhausted without an explicit halt (e.g. an empty
-    // per-thread stream): halt implicitly.
-    _haltEmitted = true;
-    return cpu::MemOp::halt();
 }
 
 void
@@ -88,16 +89,16 @@ TraceReplayWorkload::onLoadComplete(Addr addr, Tick now)
 }
 
 std::vector<std::unique_ptr<cpu::Workload>>
-makeTraceReplay(std::shared_ptr<const TraceReader> reader,
+makeTraceReplay(std::shared_ptr<const TraceData> trace,
                 unsigned expectThreads)
 {
-    simAssert(reader != nullptr, "makeTraceReplay: null reader");
-    if (reader->meta().threadCount != expectThreads) {
-        fatal("trace ", reader->sourceName(), ": recorded for ",
-              reader->meta().threadCount,
+    simAssert(trace != nullptr, "makeTraceReplay: null trace");
+    if (trace->meta.threadCount != expectThreads) {
+        fatal("trace ", trace->source, ": recorded for ",
+              trace->meta.threadCount,
               " thread(s) but the experiment wants ", expectThreads,
               " core(s); rerun with --cores ",
-              reader->meta().threadCount,
+              trace->meta.threadCount,
               " or recapture the trace at the desired width");
     }
     auto locks = std::make_shared<LockManager>();
@@ -105,7 +106,7 @@ makeTraceReplay(std::shared_ptr<const TraceReader> reader,
     out.reserve(expectThreads);
     for (unsigned t = 0; t < expectThreads; ++t) {
         out.push_back(std::make_unique<TraceReplayWorkload>(
-            reader, t, locks));
+            trace, t, locks));
     }
     return out;
 }

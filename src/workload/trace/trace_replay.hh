@@ -3,8 +3,8 @@
  * Trace-driven workload: replay a captured or hand-written trace
  * through the simulated machine.
  *
- * Each thread streams its records off a shared TraceReader cursor and
- * turns them back into the MemOp stream the core consumes. Plain
+ * Each thread walks its record vector of a shared, parsed trace and
+ * turns the records back into the MemOp stream the core consumes. Plain
  * records (load/store/barrier/compute) replay verbatim — a trace
  * captured from an execution-driven workload therefore reproduces that
  * run exactly, op for op. Lock/Unlock records are execution-driven on
@@ -27,7 +27,7 @@
 #include "cpu/workload_iface.hh"
 #include "sim/rng.hh"
 #include "workload/lock_manager.hh"
-#include "workload/trace/trace_reader.hh"
+#include "workload/trace/trace_format.hh"
 
 namespace persim::workload::trace
 {
@@ -36,7 +36,7 @@ namespace persim::workload::trace
 class TraceReplayWorkload : public cpu::Workload
 {
   public:
-    TraceReplayWorkload(std::shared_ptr<const TraceReader> reader,
+    TraceReplayWorkload(std::shared_ptr<const TraceData> trace,
                         unsigned thread,
                         std::shared_ptr<LockManager> locks);
 
@@ -54,10 +54,11 @@ class TraceReplayWorkload : public cpu::Workload
         Acquire, // probe won: emit the CAS store
     };
 
-    std::shared_ptr<const TraceReader> _reader;
+    std::shared_ptr<const TraceData> _trace;
     std::shared_ptr<LockManager> _locks;
     unsigned _thread;
-    TraceReader::Cursor _cursor;
+    /** Next record of this thread's stream, which ends in Halt. */
+    const TraceRecord *_next;
     Rng _rng;
 
     LockPhase _lockPhase = LockPhase::None;
@@ -67,8 +68,7 @@ class TraceReplayWorkload : public cpu::Workload
 };
 
 /**
- * Build one replay workload per thread from the trace at @p path
- * (binary or text form).
+ * Build one replay workload per thread from the trace file at @p path.
  *
  * @param expectThreads The experiment's core count; a mismatch with
  *        the trace's thread count is a fatal error naming both.
@@ -76,9 +76,9 @@ class TraceReplayWorkload : public cpu::Workload
 std::vector<std::unique_ptr<cpu::Workload>>
 makeTraceReplay(const std::string &path, unsigned expectThreads);
 
-/** Same, over an already opened (validated) reader. */
+/** Same, over an already parsed trace. */
 std::vector<std::unique_ptr<cpu::Workload>>
-makeTraceReplay(std::shared_ptr<const TraceReader> reader,
+makeTraceReplay(std::shared_ptr<const TraceData> trace,
                 unsigned expectThreads);
 
 } // namespace persim::workload::trace

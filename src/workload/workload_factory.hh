@@ -78,8 +78,8 @@ makeSyntheticWorkloads(const std::string &preset, unsigned numThreads,
 
 /**
  * Build replay workloads (one per core) from the trace file at
- * @p path, binary or text form. Fatal if the trace's thread count
- * differs from @p numThreads.
+ * @p path. Fatal if the trace's thread count differs from
+ * @p numThreads.
  */
 std::vector<std::unique_ptr<cpu::Workload>>
 makeTraceReplayWorkloads(const std::string &path, unsigned numThreads);

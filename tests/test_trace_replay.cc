@@ -18,7 +18,6 @@
 #include "exp/spec.hh"
 #include "sim/logging.hh"
 #include "workload/trace/trace_capture.hh"
-#include "workload/trace/trace_reader.hh"
 #include "workload/trace/trace_replay.hh"
 #include "workload/workload_factory.hh"
 
@@ -27,7 +26,7 @@ namespace persim
 
 using exp::ExperimentSpec;
 using exp::JobOutcome;
-using workload::trace::TraceReader;
+using workload::trace::TraceData;
 using workload::trace::TraceRecord;
 
 namespace
@@ -60,15 +59,12 @@ outcomeJson(const JobOutcome &o)
     return o.toJson(true).dump(2);
 }
 
-std::shared_ptr<const TraceReader>
-readerFromText(const std::string &text)
+std::shared_ptr<const TraceData>
+traceFromText(const std::string &text)
 {
     std::istringstream is(text);
-    auto data = workload::trace::parseTextTrace(is, "inline");
-    auto reader = std::make_shared<const TraceReader>(
-        workload::trace::encodeTrace(data), "inline");
-    reader->validate();
-    return reader;
+    return std::make_shared<const TraceData>(
+        workload::trace::parseTrace(is, "inline"));
 }
 
 } // namespace
@@ -133,38 +129,31 @@ TEST(TraceReplay, CapturedTraceCarriesMetaAndTransactions)
     const JobOutcome out = exp::runJob(capture);
     ASSERT_TRUE(out.ok) << out.error;
 
-    auto reader = workload::trace::openTrace(path);
-    EXPECT_EQ(reader->meta().name, "queue");
-    EXPECT_EQ(reader->meta().threadCount, 4u);
-    EXPECT_EQ(reader->meta().seed, 1u);
-    EXPECT_GT(reader->totalRecords(), 0u);
+    auto trace = workload::trace::openTrace(path);
+    EXPECT_EQ(trace->meta.name, "queue");
+    EXPECT_EQ(trace->meta.threadCount, 4u);
+    EXPECT_EQ(trace->meta.seed, 1u);
+    EXPECT_GT(trace->totalRecords(), 0u);
 
-    // The TxnMark records must add up to the run's transaction count,
-    // and every stream must end in a halt.
+    // The TxnMark records must add up to the run's transaction count.
+    // (Every stream ends in a halt, or the parse would have failed.)
     std::uint64_t txns = 0;
-    for (unsigned t = 0; t < reader->meta().threadCount; ++t) {
-        auto cursor = reader->stream(t);
-        TraceRecord r;
-        TraceRecord last;
-        while (cursor.next(r)) {
+    for (const auto &stream : trace->streams)
+        for (const TraceRecord &r : stream)
             if (r.kind == TraceRecord::Kind::TxnMark)
-                txns += r.count;
-            last = r;
-        }
-        EXPECT_EQ(last.kind, TraceRecord::Kind::Halt) << "thread " << t;
-    }
+                txns += r.arg;
     EXPECT_EQ(txns, out.result.transactions);
     std::remove(path.c_str());
 }
 
 TEST(TraceReplay, ThreadCountMismatchIsNamedError)
 {
-    auto reader = readerFromText("ptrace v1\n"
-                                 "threads 2\n"
-                                 "thread 0\n@0 halt\n"
-                                 "thread 1\n@0 halt\n");
+    auto trace = traceFromText("ptrace v1\n"
+                               "threads 2\n"
+                               "thread 0\n@0 halt\n"
+                               "thread 1\n@0 halt\n");
     try {
-        workload::trace::makeTraceReplay(reader, 8);
+        workload::trace::makeTraceReplay(trace, 8);
         FAIL() << "expected SimFatal";
     } catch (const SimFatal &e) {
         const std::string msg = e.what();
@@ -177,20 +166,20 @@ TEST(TraceReplay, LockRecordsReplayThroughTheLockManager)
 {
     // Both threads fight over the lock word at 0x100; thread 0 also
     // reports one transaction.
-    auto reader = readerFromText("ptrace v1\n"
-                                 "name locks\n"
-                                 "threads 2\n"
-                                 "thread 0\n"
-                                 "@0 lock 0x100\n"
-                                 "@10 store 0x200\n"
-                                 "@20 txn 1\n"
-                                 "@20 unlock 0x100\n"
-                                 "@30 halt\n"
-                                 "thread 1\n"
-                                 "@0 lock 0x100\n"
-                                 "@40 unlock 0x100\n"
-                                 "@50 halt\n");
-    auto ws = workload::trace::makeTraceReplay(reader, 2);
+    auto trace = traceFromText("ptrace v1\n"
+                               "name locks\n"
+                               "threads 2\n"
+                               "thread 0\n"
+                               "@0 lock 0x100\n"
+                               "@10 store 0x200\n"
+                               "@20 txn 1\n"
+                               "@20 unlock 0x100\n"
+                               "@30 halt\n"
+                               "thread 1\n"
+                               "@0 lock 0x100\n"
+                               "@40 unlock 0x100\n"
+                               "@50 halt\n");
+    auto ws = workload::trace::makeTraceReplay(trace, 2);
     ASSERT_EQ(ws.size(), 2u);
     cpu::Workload &w0 = *ws[0];
     cpu::Workload &w1 = *ws[1];
@@ -239,12 +228,13 @@ TEST(TraceReplay, LockRecordsReplayThroughTheLockManager)
 
 TEST(TraceReplay, EmptyStreamHaltsImmediately)
 {
-    auto reader = readerFromText("ptrace v1\n"
-                                 "threads 2\n"
-                                 "thread 0\n"
-                                 "@0 store 0x40\n@1 halt\n"
-                                 "thread 1\n");
-    auto ws = workload::trace::makeTraceReplay(reader, 2);
+    auto trace = traceFromText("ptrace v1\n"
+                               "threads 2\n"
+                               "thread 0\n"
+                               "@0 store 0x40\n@1 halt\n"
+                               "thread 1\n"
+                               "@0 halt\n");
+    auto ws = workload::trace::makeTraceReplay(trace, 2);
     EXPECT_EQ(ws[1]->next(0).kind, cpu::MemOp::Kind::Halt);
     EXPECT_EQ(ws[1]->next(1).kind, cpu::MemOp::Kind::Halt)
         << "halt must be sticky";

@@ -40,7 +40,7 @@
 #include "exp/trace_export.hh"
 #include "prof/profile.hh"
 #include "sim/logging.hh"
-#include "workload/trace/trace_reader.hh"
+#include "workload/trace/trace_format.hh"
 
 using namespace persim;
 using persim::tools::parseNum;
@@ -70,7 +70,7 @@ usage(const char *argv0)
         "                    --trace-file)\n"
         "  --trace-file F    with --workload trace: replay the workload "
         "trace\n"
-        "                    F (binary or text) through the figure's "
+        "                    F through the figure's "
         "config\n"
         "                    axis; core count comes from the trace "
         "header\n"
@@ -324,7 +324,7 @@ main(int argc, char **argv)
             // Replace the workload axis with one row replaying the
             // trace through every config of the grid. The trace
             // header fixes the core count and the row's name.
-            auto reader = workload::trace::openTrace(replayTraceFile);
+            auto trace = workload::trace::openTrace(replayTraceFile);
             std::vector<exp::ExperimentSpec> rows;
             std::vector<std::string> seenConfigs;
             for (const exp::ExperimentSpec &s : sweep.jobs) {
@@ -333,10 +333,8 @@ main(int argc, char **argv)
                     continue;
                 seenConfigs.push_back(s.configLabel);
                 exp::ExperimentSpec spec = s;
-                spec.workload = reader->meta().name.empty()
-                                    ? "trace"
-                                    : reader->meta().name;
-                spec.cores = reader->meta().threadCount;
+                spec.workload = trace->meta.name;
+                spec.cores = trace->meta.threadCount;
                 spec.traceFile = replayTraceFile;
                 rows.push_back(std::move(spec));
             }
@@ -345,9 +343,9 @@ main(int argc, char **argv)
                          "replaying %s (%u thread(s), %llu records) "
                          "over %zu config(s)\n",
                          replayTraceFile.c_str(),
-                         reader->meta().threadCount,
+                         trace->meta.threadCount,
                          static_cast<unsigned long long>(
-                             reader->totalRecords()),
+                             trace->totalRecords()),
                          sweep.jobs.size());
         } else if (!workloadFilter.empty()) {
             std::erase_if(sweep.jobs, [&](const auto &spec) {
