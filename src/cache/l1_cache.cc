@@ -440,8 +440,6 @@ void
 L1Cache::issueNvmWrite(Addr addr, CoreId core, EpochId epoch, bool isLog,
                        InlineCallback onAckHere)
 {
-    nvm::MemoryController &mc = _pc.mcFor(addr);
-    nvm::MemoryController *mcPtr = &mc;
     nvm::WriteReq req;
     req.addr = lineAlign(addr);
     req.core = core;
@@ -449,16 +447,7 @@ L1Cache::issueNvmWrite(Addr addr, CoreId core, EpochId epoch, bool isLog,
     req.isLog = isLog;
     req.replyTo = _ni.nodeId();
     req.onPersist = std::move(onAckHere);
-    // The request (its completion callback included) would overflow the
-    // inline-callback buffer if captured; park it in the pool and ship
-    // only the index — the pooled node is recycled at delivery.
-    const std::uint32_t idx = _nvmReqPool.alloc(std::move(req));
-    NodePool<nvm::WriteReq> *pool = &_nvmReqPool;
-    _ni.sendData(mc.nodeId(), [mcPtr, pool, idx] {
-        nvm::WriteReq r = std::move(pool->at(idx));
-        pool->release(idx);
-        mcPtr->handleWrite(std::move(r));
-    });
+    _pc.mcFor(addr).sendWrite(_ni, std::move(req));
 }
 
 } // namespace persim::cache

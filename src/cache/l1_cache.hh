@@ -10,10 +10,8 @@
 #include <string>
 
 #include "cache/cache_array.hh"
-#include "cache/flat_table.hh"
 #include "cache/mshr.hh"
 #include "noc/network_interface.hh"
-#include "nvm/memory_controller.hh"
 #include "sim/inline_callback.hh"
 #include "persist/flush_engine.hh"
 #include "sim/pending_ring.hh"
@@ -210,15 +208,6 @@ class L1Cache : public SimObject
 
     /** Accesses staged by access() awaiting their +accessLatency slot. */
     PendingRing<StagedAccess> _staged;
-
-    /**
-     * Pooled NVRAM write requests in flight to a memory controller
-     * (undo log, checkpoint, write-through stores). The mesh-delivery
-     * event captures only {mc, pool, index}, so the request — whose
-     * embedded completion callback would overflow the inline-callback
-     * buffer — rides in the pool instead of the callback arena.
-     */
-    NodePool<nvm::WriteReq> _nvmReqPool;
 
     /** Accesses deferred because the MSHR file was full. */
     std::deque<InlineCallback> _deferred;

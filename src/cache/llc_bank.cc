@@ -219,8 +219,10 @@ LlcBank::grantWrite(Txn txn)
         return;
     }
     ++_writeHits;
-    persist::IdtEntry tag =
+    const persist::IdtEntry tag =
         _pc.onBankGrantWrite(_bankIdx, txn.core, *line);
+    const EpochId tagEpoch = tag.epoch;
+    const CoreId tagCore = tag.core;
     line->setOwner(txn.core);
     line->setSharers(0);
     _array.touch(*line);
@@ -229,12 +231,15 @@ LlcBank::grantWrite(Txn txn)
     // The line stays pinned/busy until the requester confirms the fill
     // (Unblock, as in Ruby's MESI protocols): the mesh is unordered, so
     // without it an eviction could race ahead of the grant and break
-    // inclusion.
-    _ni.sendData(req->nodeId(), [this, req, txn, tag, myNode] {
-        req->handleFillGrant(txn.addr, CoherenceState::Modified, tag.core,
-                             tag.epoch);
+    // inclusion. The tag rides as two fields: an IdtEntry's padding
+    // would push the capture past the inline-callback budget.
+    _ni.sendData(req->nodeId(), InlineCallback::inlineOnly(
+                                    [this, req, txn, tagEpoch, tagCore,
+                                     myNode] {
+        req->handleFillGrant(txn.addr, CoherenceState::Modified, tagCore,
+                             tagEpoch);
         req->ni().sendControl(myNode, [this, txn] { finish(txn); });
-    });
+    }));
 }
 
 void
@@ -296,14 +301,11 @@ LlcBank::missPath(Txn txn)
     }
     victim->setPinned(true); // claim the invalid way for our fill
     ++_missesToMemory;
-    nvm::MemoryController *mc = &_pc.mcFor(txn.addr);
     nvm::ReadReq req;
     req.addr = txn.addr;
     req.replyTo = _ni.nodeId();
     req.onData = [this, txn, victim] { fillAndGrant(txn, victim); };
-    _ni.sendControl(mc->nodeId(), [mc, req = std::move(req)]() mutable {
-        mc->handleRead(std::move(req));
-    });
+    _pc.mcFor(txn.addr).sendRead(_ni, std::move(req));
 }
 
 void
@@ -454,13 +456,10 @@ LlcBank::evictVictim(Addr vaddr, InlineCallback cont)
         ++_evictionsDirty;
         // Untagged dirty data persists naturally, with no ordering
         // constraint and nobody waiting for the ack.
-        nvm::MemoryController *mc = &_pc.mcFor(vaddr);
         nvm::WriteReq req;
         req.addr = vaddr;
         req.replyTo = _ni.nodeId();
-        _ni.sendData(mc->nodeId(), [mc, req = std::move(req)]() mutable {
-            mc->handleWrite(std::move(req));
-        });
+        _pc.mcFor(vaddr).sendWrite(_ni, std::move(req));
     }
     _array.invalidate(*line);
     // Wake requests that blocked on the pinned victim.
@@ -534,7 +533,6 @@ LlcBank::handleFlushEpoch(CoreId core, EpochId epoch)
         scheduleIn(offset, [this, core, epoch, addr] {
             ++_linesFlushed;
             _pc.arbiter(core).onFlushIssued(epoch);
-            nvm::MemoryController *mc = &_pc.mcFor(addr);
             nvm::WriteReq req;
             req.addr = addr;
             req.core = core;
@@ -543,10 +541,7 @@ LlcBank::handleFlushEpoch(CoreId core, EpochId epoch)
             req.onPersist = [this, core, epoch, addr] {
                 onFlushLineAck(core, epoch, addr);
             };
-            _ni.sendData(mc->nodeId(),
-                         [mc, req = std::move(req)]() mutable {
-                             mc->handleWrite(std::move(req));
-                         });
+            _pc.mcFor(addr).sendWrite(_ni, std::move(req));
         });
         offset += interval;
     }

@@ -1,6 +1,9 @@
 #include "exp/spec.hh"
 
+#include <algorithm>
+
 #include "workload/trace/trace_capture.hh"
+#include "workload/trace/trace_replay.hh"
 #include "workload/workload_factory.hh"
 
 namespace persim::exp
@@ -52,7 +55,9 @@ ExperimentSpec::buildWorkloads(
     std::shared_ptr<workload::trace::TraceCaptureWriter> *capture) const
 {
     std::vector<std::unique_ptr<cpu::Workload>> ws;
-    if (!traceFile.empty()) {
+    if (traceData) {
+        ws = workload::trace::makeTraceReplay(traceData, cores);
+    } else if (!traceFile.empty()) {
         ws = workload::makeTraceReplayWorkloads(traceFile, cores);
     } else if (isMicro()) {
         workload::MicroConfig mc;
@@ -124,6 +129,28 @@ Sweep::crossSeeds(const std::vector<std::uint64_t> &seeds)
         }
     }
     jobs = std::move(expanded);
+}
+
+std::shared_ptr<const workload::trace::TraceData>
+Sweep::replayTrace(const std::string &path)
+{
+    auto trace = workload::trace::openTrace(path);
+    std::vector<ExperimentSpec> rows;
+    std::vector<std::string> seenConfigs;
+    for (const ExperimentSpec &s : jobs) {
+        if (std::find(seenConfigs.begin(), seenConfigs.end(),
+                      s.configLabel) != seenConfigs.end())
+            continue;
+        seenConfigs.push_back(s.configLabel);
+        ExperimentSpec spec = s;
+        spec.workload = trace->meta.name;
+        spec.cores = trace->meta.threadCount;
+        spec.traceFile = path;
+        spec.traceData = trace;
+        rows.push_back(std::move(spec));
+    }
+    jobs = std::move(rows);
+    return trace;
 }
 
 std::uint64_t

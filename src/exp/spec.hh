@@ -28,6 +28,7 @@
 namespace persim::workload::trace
 {
 class TraceCaptureWriter;
+struct TraceData;
 } // namespace persim::workload::trace
 
 namespace persim::exp
@@ -96,6 +97,13 @@ struct ExperimentSpec
     std::string traceFile;
 
     /**
+     * traceFile already parsed, shared by every cell that replays it
+     * (Sweep::replayTrace), so buildWorkloads() reads no file. Host
+     * state like traceFile, never serialized.
+     */
+    std::shared_ptr<const workload::trace::TraceData> traceData;
+
+    /**
      * When non-empty, the run is captured and the trace written here
      * after the simulation completes. Also host-path state, excluded
      * from toJson(); capture wraps the workloads without perturbing
@@ -113,11 +121,11 @@ struct ExperimentSpec
     model::SystemConfig toSystemConfig() const;
 
     /**
-     * Build one workload per core (replay workloads when traceFile is
-     * set). If @p capture is non-null and captureFile is set, the
-     * workloads are wrapped for capture and the shared writer is
-     * returned through @p capture; the caller writes captureFile once
-     * the run finishes (see runJob).
+     * Build one workload per core (replay workloads when traceData or
+     * traceFile is set). If @p capture is non-null and captureFile is
+     * set, the workloads are wrapped for capture and the shared writer
+     * is returned through @p capture; the caller writes captureFile
+     * once the run finishes (see runJob).
      */
     std::vector<std::unique_ptr<cpu::Workload>> buildWorkloads(
         std::shared_ptr<workload::trace::TraceCaptureWriter> *capture =
@@ -138,6 +146,17 @@ struct Sweep
      * from its base seed and the entry in @p seeds.
      */
     void crossSeeds(const std::vector<std::uint64_t> &seeds);
+
+    /**
+     * Replace the workload axis with one row replaying the trace at
+     * @p path through every config of the grid. The file is parsed
+     * once, here; every cell of the row shares the parsed records.
+     * The trace header fixes the row's core count and workload name.
+     *
+     * @return The parsed trace.
+     */
+    std::shared_ptr<const workload::trace::TraceData>
+    replayTrace(const std::string &path);
 };
 
 /** Deterministic seed mixing (splitmix64) for derived per-job seeds. */

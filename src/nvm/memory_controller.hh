@@ -6,8 +6,10 @@
 #ifndef PERSIM_NVM_MEMORY_CONTROLLER_HH
 #define PERSIM_NVM_MEMORY_CONTROLLER_HH
 
+#include <cstdint>
 #include <string>
 
+#include "cache/flat_table.hh"
 #include "noc/network_interface.hh"
 #include "sim/inline_callback.hh"
 #include "nvm/nvram.hh"
@@ -45,9 +47,13 @@ struct ReadReq
 /**
  * One of the (four) memory controllers at the mesh corners.
  *
- * Requests arrive as mesh deliveries that invoke handleWrite/handleRead;
- * service timing comes from the owned Nvram device; completions travel
- * back over the mesh (PersistAck as control, data as a data message).
+ * Requesters hand a request to sendWrite/sendRead, which parks it in
+ * this controller's pool and sends the mesh message; service timing
+ * comes from the owned Nvram device; completions travel back over the
+ * mesh (PersistAck as control, data as a data message). A request
+ * lives in the pool from send until its reply is scheduled, so the
+ * delivery and completion events capture only {this, index} and stay
+ * inside the inline-callback budget.
  */
 class MemoryController : public SimObject
 {
@@ -65,11 +71,31 @@ class MemoryController : public SimObject
                      noc::Mesh &mesh, unsigned nodeId, unsigned x,
                      unsigned y, const NvramConfig &cfg);
 
-    /** Accept a durable write (call at delivery time). */
-    void handleWrite(WriteReq req);
+    /**
+     * Send a durable write from @p from as a data message; the
+     * controller accepts it on delivery.
+     */
+    void sendWrite(noc::NetworkInterface &from, WriteReq &&req);
 
-    /** Accept a read (call at delivery time). */
-    void handleRead(ReadReq req);
+    /**
+     * Send a line read from @p from as a control message; the
+     * controller accepts it on delivery.
+     */
+    void sendRead(noc::NetworkInterface &from, ReadReq &&req);
+
+    /** Accept a durable write now (as if just delivered). */
+    void
+    handleWrite(WriteReq req)
+    {
+        acceptWrite(_writeReqs.alloc(std::move(req)));
+    }
+
+    /** Accept a read now (as if just delivered). */
+    void
+    handleRead(ReadReq req)
+    {
+        acceptRead(_readReqs.alloc(std::move(req)));
+    }
 
     /** Attach the persist observer (ordering checker). */
     void setObserver(PersistObserver *obs) { _observer = obs; }
@@ -87,7 +113,18 @@ class MemoryController : public SimObject
     /** Writes accepted but not yet durable (interval-stat sampling). */
     unsigned outstandingWrites() const { return _outstandingWrites; }
 
+    /** Pooled write requests, sent but not yet acknowledged. */
+    const cache::NodePool<WriteReq> &writeReqs() const { return _writeReqs; }
+
+    /** Pooled read requests, sent but not yet answered. */
+    const cache::NodePool<ReadReq> &readReqs() const { return _readReqs; }
+
   private:
+    void acceptWrite(std::uint32_t idx);
+    void completeWrite(std::uint32_t idx, Tick durable);
+    void acceptRead(std::uint32_t idx);
+    void completeRead(std::uint32_t idx);
+
     StatGroup _stats;
     noc::NetworkInterface _ni;
     Nvram _nvram;
@@ -96,6 +133,10 @@ class MemoryController : public SimObject
     unsigned _outstandingWrites = 0;
     /** Start of the current non-empty write-queue residency episode. */
     Tick _wqBusySince = kTickNever;
+
+    /** Requests in flight, allocated at send, released at the reply. */
+    cache::NodePool<WriteReq> _writeReqs;
+    cache::NodePool<ReadReq> _readReqs;
 
     Scalar _persistAcks;
     Scalar _logWrites;

@@ -9,6 +9,7 @@
 
 #include "exp/stats_export.hh"
 #include "noc/mesh.hh"
+#include "noc/network_interface.hh"
 #include "nvm/memory_controller.hh"
 #include "nvm/nvram.hh"
 #include "sim/event_queue.hh"
@@ -145,6 +146,103 @@ TEST(MemoryController, LogWritesCounted)
     const exp::JsonValue stats = exp::statGroupsToJson({&ctrl.stats()});
     EXPECT_DOUBLE_EQ(exp::sumStat(stats, {"mc0", "logWrites"}), 1.0);
     EXPECT_DOUBLE_EQ(exp::sumStat(stats, {"mc0", "persistAcks"}), 1.0);
+}
+
+namespace
+{
+
+/** A controller at node 10 and one requester at node 0 on a 1x2 mesh. */
+struct PooledRig
+{
+    EventQueue eq;
+    noc::Mesh mesh{"mesh", eq, [] {
+                       noc::MeshConfig c;
+                       c.rows = 1;
+                       c.cols = 2;
+                       return c;
+                   }()};
+    MemoryController ctrl{"mc0", eq, mesh, 10, 0, 0, NvramConfig{}};
+    noc::NetworkInterface req{"req", mesh, 0, 1, 0};
+};
+
+/** Line i of a run that all maps to NVRAM bank 0 (32 banks, shift 2). */
+Addr
+bankZeroLine(unsigned i)
+{
+    return Addr{i} * 128 * kLineBytes;
+}
+
+constexpr unsigned kBurst = 1000;
+
+} // namespace
+
+TEST(MemoryController, PooledWritesAckInDurableOrderAndReuseSlots)
+{
+    PooledRig rig;
+    TestObserver obs;
+    rig.ctrl.setObserver(&obs);
+    std::vector<unsigned> acks;
+    for (unsigned burst = 0; burst < 2; ++burst) {
+        acks.clear();
+        obs.recs.clear();
+        const Tick start = rig.eq.now();
+        for (unsigned i = 0; i < kBurst; ++i) {
+            WriteReq req;
+            req.addr = bankZeroLine(i);
+            req.core = 1;
+            req.epoch = i;
+            req.replyTo = rig.req.nodeId();
+            req.onPersist = [&acks, i] { acks.push_back(i); };
+            rig.ctrl.sendWrite(rig.req, std::move(req));
+        }
+        EXPECT_EQ(rig.ctrl.writeReqs().live(), kBurst);
+        rig.eq.run();
+
+        ASSERT_EQ(acks.size(), kBurst);
+        ASSERT_EQ(obs.recs.size(), kBurst);
+        for (unsigned i = 0; i < kBurst; ++i) {
+            EXPECT_EQ(acks[i], i) << "burst " << burst;
+            EXPECT_EQ(obs.recs[i].epoch, i);
+            EXPECT_EQ(obs.recs[i].addr, bankZeroLine(i));
+            if (i > 0) {
+                EXPECT_EQ(obs.recs[i].when, obs.recs[i - 1].when + 360u);
+            }
+        }
+        EXPECT_GT(obs.recs[0].when, start);
+        EXPECT_EQ(rig.ctrl.writeReqs().live(), 0u);
+        // The second burst runs in the first burst's slots.
+        EXPECT_EQ(rig.ctrl.writeReqs().allocated(), kBurst);
+    }
+}
+
+TEST(MemoryController, PooledReadsReplyInOrderAndReuseSlots)
+{
+    PooledRig rig;
+    std::vector<std::pair<unsigned, Tick>> replies;
+    for (unsigned burst = 0; burst < 2; ++burst) {
+        replies.clear();
+        for (unsigned i = 0; i < kBurst; ++i) {
+            ReadReq req;
+            req.addr = bankZeroLine(i);
+            req.replyTo = rig.req.nodeId();
+            req.onData = [&replies, &rig, i] {
+                replies.emplace_back(i, rig.eq.now());
+            };
+            rig.ctrl.sendRead(rig.req, std::move(req));
+        }
+        EXPECT_EQ(rig.ctrl.readReqs().live(), kBurst);
+        rig.eq.run();
+
+        ASSERT_EQ(replies.size(), kBurst);
+        for (unsigned i = 0; i < kBurst; ++i) {
+            EXPECT_EQ(replies[i].first, i) << "burst " << burst;
+            if (i > 0) {
+                EXPECT_GT(replies[i].second, replies[i - 1].second);
+            }
+        }
+        EXPECT_EQ(rig.ctrl.readReqs().live(), 0u);
+        EXPECT_EQ(rig.ctrl.readReqs().allocated(), kBurst);
+    }
 }
 
 TEST(McIndex, LineInterleavesAcrossControllers)

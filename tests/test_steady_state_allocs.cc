@@ -8,20 +8,27 @@
  * rings and tables reaching their working size) is the same in both
  * runs, so the allocations made inside run() over the extra 3N ops
  * measure what the simulator allocates per simulated op once warm. It
- * must stay under 1% of those ops. This file is its own executable
- * because the operator replacement is program-wide.
+ * must stay under 1% of those ops. A second check counts the blocks
+ * the callback arena takes at paper scale: requests to the memory
+ * controllers wait in the controllers' pools, so no closure on the NVM
+ * path spills. This file is its own executable because the operator
+ * replacement is program-wide.
  */
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "exp/figures.hh"
 #include "exp/spec.hh"
 #include "model/system.hh"
+#include "nvm/memory_controller.hh"
+#include "sim/inline_callback.hh"
 
 namespace
 {
@@ -87,21 +94,28 @@ struct CellRun
     std::uint64_t ops = 0;
 };
 
+/** Cell @p id of figure @p figure, or nullopt (and a failure). */
+std::optional<exp::ExperimentSpec>
+findCell(int figure, const std::string &id, std::uint64_t ops,
+         unsigned cores)
+{
+    const exp::Sweep sweep = exp::figureSweep(figure, ops, cores, 1);
+    for (const exp::ExperimentSpec &s : sweep.jobs) {
+        if (s.id() == id)
+            return s;
+    }
+    ADD_FAILURE() << "no cell " << id << " in figure " << figure;
+    return std::nullopt;
+}
+
 /** Run @p id of figure @p figure at @p ops per thread, counting allocs
  * made inside System::run() only. */
 CellRun
 runCell(int figure, const std::string &id, std::uint64_t ops)
 {
-    const exp::Sweep sweep = exp::figureSweep(figure, ops, kCores, 1);
-    const exp::ExperimentSpec *spec = nullptr;
-    for (const exp::ExperimentSpec &s : sweep.jobs) {
-        if (s.id() == id)
-            spec = &s;
-    }
-    if (!spec) {
-        ADD_FAILURE() << "no cell " << id << " in figure " << figure;
+    const auto spec = findCell(figure, id, ops, kCores);
+    if (!spec)
         return {};
-    }
     model::System sys(spec->toSystemConfig());
     auto workloads = spec->buildWorkloads();
     for (std::size_t t = 0; t < workloads.size(); ++t)
@@ -142,6 +156,37 @@ TEST(SteadyStateAllocs, Fig11QueueLbPlusPlus)
 TEST(SteadyStateAllocs, Fig14CannealLb)
 {
     expectFlatAllocs(14, "canneal/LB/s1", 1000);
+}
+
+TEST(SteadyStateAllocs, NvmPathTakesNoArenaBlocks)
+{
+    // The arena is per thread and never returns blocks, so count on a
+    // fresh thread. A request captured by value (its callback inside)
+    // spills twice, at delivery and at completion: this cell then
+    // takes about 6,000 blocks.
+    std::uint64_t blocks = 0;
+    std::thread worker([&] {
+        const auto spec = findCell(14, "radix/LB/s1", 2500, 32);
+        if (!spec)
+            return;
+        model::System sys(spec->toSystemConfig());
+        auto workloads = spec->buildWorkloads();
+        for (std::size_t t = 0; t < workloads.size(); ++t)
+            sys.setWorkload(static_cast<CoreId>(t),
+                            std::move(workloads[t]));
+        const std::uint64_t before =
+            detail::CallbackArena::blocksAllocated();
+        const model::SimResult r = sys.run();
+        blocks = detail::CallbackArena::blocksAllocated() - before;
+        EXPECT_TRUE(r.completed);
+        EXPECT_TRUE(r.violations.empty());
+        for (unsigned j = 0; j < sys.config().numMemControllers; ++j) {
+            EXPECT_EQ(sys.mc(j).writeReqs().live(), 0u) << "mc " << j;
+            EXPECT_EQ(sys.mc(j).readReqs().live(), 0u) << "mc " << j;
+        }
+    });
+    worker.join();
+    EXPECT_LE(blocks, 32u);
 }
 
 } // namespace

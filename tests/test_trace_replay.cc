@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "exp/figures.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "sim/logging.hh"
@@ -254,6 +255,37 @@ TEST(TraceReplay, ReplayIsDeterministicAcrossRuns)
     ASSERT_TRUE(a.ok && b.ok);
     EXPECT_EQ(outcomeJson(a), outcomeJson(b));
     std::remove(path.c_str());
+}
+
+TEST(TraceReplay, TraceRowParsesTheFileOnce)
+{
+    const std::string path = tempTracePath("row");
+    exp::Sweep grid = exp::figureSweep(11, 30, 4, 1);
+    const ExperimentSpec *captured = nullptr;
+    for (const ExperimentSpec &spec : grid.jobs) {
+        if (spec.id() == "hash/LB++/s1")
+            captured = &spec;
+    }
+    ASSERT_NE(captured, nullptr);
+    ExperimentSpec capture = *captured;
+    capture.captureFile = path;
+    const JobOutcome direct = exp::runJob(capture);
+    ASSERT_TRUE(direct.ok) << direct.error;
+
+    exp::Sweep row = grid;
+    const auto trace = row.replayTrace(path);
+    // Every cell replays the records parsed above, not the file.
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    ASSERT_EQ(row.jobs.size(), 4u) << "one cell per fig11 config";
+    for (const ExperimentSpec &spec : row.jobs) {
+        EXPECT_EQ(spec.traceData, trace) << spec.id();
+        EXPECT_EQ(spec.workload, "hash");
+        const JobOutcome out = exp::runJob(spec);
+        ASSERT_TRUE(out.ok) << spec.id() << ": " << out.error;
+        if (spec.configLabel == "LB++") {
+            EXPECT_EQ(outcomeJson(out), outcomeJson(direct));
+        }
+    }
 }
 
 } // namespace persim

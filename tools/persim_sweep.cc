@@ -321,24 +321,7 @@ main(int argc, char **argv)
         exp::Sweep sweep = exp::figureSweep(figure, ops, cores, seed);
 
         if (workloadFilter == "trace") {
-            // Replace the workload axis with one row replaying the
-            // trace through every config of the grid. The trace
-            // header fixes the core count and the row's name.
-            auto trace = workload::trace::openTrace(replayTraceFile);
-            std::vector<exp::ExperimentSpec> rows;
-            std::vector<std::string> seenConfigs;
-            for (const exp::ExperimentSpec &s : sweep.jobs) {
-                if (std::find(seenConfigs.begin(), seenConfigs.end(),
-                              s.configLabel) != seenConfigs.end())
-                    continue;
-                seenConfigs.push_back(s.configLabel);
-                exp::ExperimentSpec spec = s;
-                spec.workload = trace->meta.name;
-                spec.cores = trace->meta.threadCount;
-                spec.traceFile = replayTraceFile;
-                rows.push_back(std::move(spec));
-            }
-            sweep.jobs = std::move(rows);
+            auto trace = sweep.replayTrace(replayTraceFile);
             std::fprintf(stderr,
                          "replaying %s (%u thread(s), %llu records) "
                          "over %zu config(s)\n",
@@ -418,8 +401,10 @@ main(int argc, char **argv)
                 spec.captureFile = tracePathFor(spec, captureDir);
         }
         if (!replayDir.empty()) {
-            for (exp::ExperimentSpec &spec : sweep.jobs)
+            for (exp::ExperimentSpec &spec : sweep.jobs) {
                 spec.traceFile = tracePathFor(spec, replayDir);
+                spec.traceData = nullptr;
+            }
         }
 
         if (listOnly) {
