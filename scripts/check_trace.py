@@ -23,9 +23,10 @@ import glob
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
-import time
+import threading
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -208,6 +209,28 @@ def smoke_no_stats_stat_table():
            "--no-stats document has groups")
 
 
+def smoke_missing_baseline_na():
+    """A filtered-out baseline column is named, and its rows print n/a.
+
+    One stderr line names the column; the text table prints n/a for the
+    rows it would normalize, while the --out table keeps its 0 cells."""
+    for fig, args, base in ((11, ("--only", "hash/LB++"), "LB"),
+                            (14, ("--workload", "canneal", "--only",
+                                  "/LB/"), "NP")):
+        cmd = [os.path.join(BIN, "persim_sweep"), "--figure", str(fig),
+               "--ops", "40", "--cores", "4", "--quiet", *args,
+               "--out", f"fig{fig}.json"]
+        print("+", " ".join(cmd), flush=True)
+        p = subprocess.run(cmd, capture_output=True, text=True)
+        expect(p.returncode == 0, f"exited {p.returncode}")
+        expect(f"baseline column '{base}' did not run for 1 of 1 row(s)"
+               in p.stderr, p.stderr)
+        rows = [line.split() for line in p.stdout.splitlines()[-2:]]
+        expect(all(r[1:] == ["n/a"] for r in rows), p.stdout)
+        table = load(f"fig{fig}.json")["table"]
+        expect(table["cells"] == [[0]] and table["means"] == [0], table)
+
+
 def obs_traced_sweep():
     """A traced sweep writes valid documents and a well-formed trace."""
     sweep("--figure", 14, "--ops", 500, "--cores", 4, "--jobs", 2,
@@ -271,73 +294,28 @@ def fault_watchdog_times_out_hang():
     expect(states.count("timed-out") == 1, states)
 
 
-def killed_mid_grid(out, *args):
-    """Run FAULT_GRID (plus @p args) into @p out with cell 1 hung and no
-    watchdog, and SIGKILL the sweep once its journal holds the header and
-    a completed cell. The hang keeps the sweep from finishing first."""
-    cmd = [os.path.join(BIN, "persim_sweep"), *map(str, FAULT_GRID),
-           *map(str, args), "--jobs", "1", "--retries", "0", "--quiet",
-           "--out", out]
-    print("+ PERSIM_FAULT=hang:1", " ".join(cmd), flush=True)
-    p = subprocess.Popen(cmd, env=dict(os.environ, PERSIM_FAULT="hang:1"))
-    journal = out + ".journal"
-    deadline = time.monotonic() + 120
-    try:
-        while True:
-            expect(p.poll() is None, f"sweep exited {p.returncode} early")
-            expect(time.monotonic() < deadline, "journal never grew")
-            if os.path.exists(journal):
-                with open(journal) as f:
-                    if sum(1 for _ in f) >= 2:
-                        break
-            time.sleep(0.02)
-    finally:
-        p.kill()
-        p.wait()
+def fault_fifo_out_written_in_place():
+    """--out to a FIFO delivers the whole document; the FIFO stays.
 
+    An atomic rename over the FIFO would replace it with a file."""
+    sweep(*FAULT_HASH, "--out", "ref.json")
+    os.mkfifo("out.fifo")
+    got = []
 
-def fault_resume_after_crash():
-    """A sweep killed mid-grid leaves a journal; --resume finishes
-    byte-identical."""
-    sweep(*FAULT_GRID, "--quiet", "--out", "resume_ref.json")
-    killed_mid_grid("resume.json")
-    expect(not os.path.exists("resume.json"), "torn output document")
-    expect(os.path.getsize("resume.json.journal") > 0, "empty journal")
-    sweep(*FAULT_GRID, "--quiet", "--resume", "--out", "resume.json")
-    same("resume_ref.json", "resume.json")
-    expect(not os.path.exists("resume.json.journal"),
-           "finalize kept the journal")
+    def read_fifo():
+        with open("out.fifo", "rb") as f:
+            got.append(f.read())
 
-
-def fault_resume_refuses_changed_grid():
-    """--resume refuses a journal written for another grid."""
-    killed_mid_grid("mm.json")
-    rc = sweep("--figure", 11, "--ops", 60, "--cores", 4, "--quiet",
-               "--resume", "--out", "mm.json", status=None)
-    expect(rc != 0, "resume accepted a mismatched grid")
-
-
-def fault_resume_refuses_stats_from_no_stats_journal():
-    """A --no-stats journal keeps no stat trees: resuming it with stats
-    is refused by name, resuming it with --no-stats finishes
-    byte-identical."""
-    sweep(*FAULT_GRID, "--quiet", "--no-stats", "--out", "ns_ref.json")
-    killed_mid_grid("ns.json", "--no-stats")
-    with open("ns.json.journal") as f:
-        header, *cells = [json.loads(line) for line in f if line.strip()]
-    expect(header.get("statTrees") is False, header)
-    expect(cells and all("groups" not in c for c in cells),
-           "a --no-stats journal line carries groups")
-    p = subprocess.run(
-        [os.path.join(BIN, "persim_sweep"), *map(str, FAULT_GRID),
-         "--quiet", "--resume", "--out", "ns.json"],
-        capture_output=True, text=True)
-    expect(p.returncode == 2, f"stats resume exited {p.returncode}")
-    expect("holds no stat trees" in p.stderr, p.stderr)
-    expect(not os.path.exists("ns.json"), "refused resume wrote --out")
-    sweep(*FAULT_GRID, "--quiet", "--no-stats", "--resume",
-          "--out", "ns.json")
-    same("ns_ref.json", "ns.json")
+    reader = threading.Thread(target=read_fifo, daemon=True)
+    reader.start()
+    sweep(*FAULT_HASH, "--out", "out.fifo")
+    reader.join(timeout=10)
+    expect(not reader.is_alive(), "the FIFO reader saw no end of file")
+    with open("ref.json", "rb") as f:
+        expect(got == [f.read()], "the FIFO carried another document")
+    expect(stat.S_ISFIFO(os.stat("out.fifo").st_mode),
+           "out.fifo is no longer a FIFO")
+    expect(not os.path.exists("out.fifo.tmp"), "left out.fifo.tmp")
 
 
 def trace_fig11_capture_replay():
@@ -415,10 +393,9 @@ def soak_fig13_fig14_seeds():
 # entry carries the same name.
 CHECKS = {f.__name__.replace("_", ".", 1): f for f in (
     smoke_jobs_deterministic, smoke_hot_path_deterministic,
-    smoke_no_stats_stat_table, obs_traced_sweep, prof_profiled_sweep,
-    fault_throw_costs_one_cell, fault_watchdog_times_out_hang,
-    fault_resume_after_crash, fault_resume_refuses_changed_grid,
-    fault_resume_refuses_stats_from_no_stats_journal,
+    smoke_no_stats_stat_table, smoke_missing_baseline_na,
+    obs_traced_sweep, prof_profiled_sweep, fault_throw_costs_one_cell,
+    fault_watchdog_times_out_hang, fault_fifo_out_written_in_place,
     trace_fig11_capture_replay, trace_fig14_capture_replay,
     trace_fixture_validates, trace_seeds_table_ci,
     soak_fig13_fig14_seeds)}

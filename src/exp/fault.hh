@@ -2,8 +2,8 @@
  * @file
  * Deterministic fault injection for the sweep harness.
  *
- * The fault-tolerance machinery (retries, watchdog, journal resume) is
- * only trustworthy if it is exercised against real faults, so the
+ * The fault-tolerance machinery (retries, watchdog) is only
+ * trustworthy if it is exercised against real faults, so the
  * environment variable
  *
  *     PERSIM_FAULT=<kind>:<jobIndex>
@@ -14,8 +14,7 @@
  *     throw  - throw a std::runtime_error ("injected fault: throw")
  *     hang   - spin until the watchdog's cancel flag fires, then
  *              surface as a timeout; with no watchdog it never returns
- *              and only an external kill ends the process (the resume
- *              check kills a sweep this way)
+ *              and only an external kill ends the process
  *
  * The hook is keyed by job index, not id, so the same injection works
  * unchanged across figures and filters; an index of SIZE_MAX (the

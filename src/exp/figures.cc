@@ -505,6 +505,11 @@ figureTable(const std::string &name,
 
     const bool multiSeed = seeds.size() > 1;
     for (const std::string &w : table.rows) {
+        table.noBaseline.push_back(
+            !reduce.baseline.empty() &&
+            std::any_of(seeds.begin(), seeds.end(), [&](std::uint64_t s) {
+                return !findOutcome(outcomes, w, reduce.baseline, s);
+            }));
         std::vector<double> row;
         std::vector<double> rowCi;
         row.reserve(table.cols.size());
@@ -535,6 +540,9 @@ printFigureTable(std::ostream &os, const FigureTable &table)
     char buf[64];
     const bool ci = !table.cellsCi.empty();
     const int width = ci ? 18 : 12;
+    const bool anyNoBaseline =
+        std::find(table.noBaseline.begin(), table.noBaseline.end(),
+                  true) != table.noBaseline.end();
     os << "\n=== " << table.title << " ===";
     if (table.seedCount > 1)
         os << " [mean \xc2\xb1 95% CI over " << table.seedCount
@@ -551,7 +559,9 @@ printFigureTable(std::ostream &os, const FigureTable &table)
         std::snprintf(buf, sizeof(buf), "%-12s", table.rows[r].c_str());
         os << buf;
         for (std::size_t c = 0; c < table.cells[r].size(); ++c) {
-            if (ci) {
+            if (table.noBaseline[r]) {
+                std::snprintf(buf, sizeof(buf), " %*s", width, "n/a");
+            } else if (ci) {
                 char cell[40];
                 std::snprintf(cell, sizeof(cell), "%.3f \xc2\xb1%.3f",
                               table.cells[r][c], table.cellsCi[r][c]);
@@ -569,7 +579,10 @@ printFigureTable(std::ostream &os, const FigureTable &table)
     std::snprintf(buf, sizeof(buf), "%-12s", table.meanLabel.c_str());
     os << buf;
     for (double m : table.means) {
-        std::snprintf(buf, sizeof(buf), " %*.3f", width, m);
+        if (anyNoBaseline)
+            std::snprintf(buf, sizeof(buf), " %*s", width, "n/a");
+        else
+            std::snprintf(buf, sizeof(buf), " %*.3f", width, m);
         os << buf;
     }
     os << '\n';

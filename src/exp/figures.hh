@@ -137,6 +137,13 @@ struct FigureTable
     unsigned seedCount = 1;
     /** cellsCi[r][c]: 95% CI half-width; empty when seedCount == 1. */
     std::vector<std::vector<double>> cellsCi;
+    /**
+     * noBaseline[r]: a baseline cell of row r did not run (a filter
+     * dropped it), so the row's cells hold 0.0 and the text table
+     * prints them, and the means, as n/a. One entry per row; never
+     * serialized.
+     */
+    std::vector<bool> noBaseline;
 };
 
 /** Geometric mean of @p xs (non-positive entries are skipped). */

@@ -1,9 +1,14 @@
 #include "exp/json.hh"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "sim/logging.hh"
 
@@ -422,6 +427,46 @@ JsonValue
 JsonValue::parse(const std::string &text)
 {
     return Parser(text).parseDocument();
+}
+
+void
+writeFileAtomic(const std::string &path, const std::string &content)
+{
+    const std::string tmp = path + ".tmp";
+    const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+    if (fd < 0)
+        fatal("cannot write ", tmp, ": ", std::strerror(errno));
+    const char *data = content.data();
+    std::size_t left = content.size();
+    while (left > 0) {
+        const ssize_t w = ::write(fd, data, left);
+        if (w < 0 && errno == EINTR)
+            continue;
+        if (w < 0) {
+            ::close(fd);
+            fatal("cannot write ", tmp, ": ", std::strerror(errno));
+        }
+        data += w;
+        left -= static_cast<std::size_t>(w);
+    }
+    if (::fsync(fd) != 0) {
+        ::close(fd);
+        fatal("cannot write ", tmp, ": ", std::strerror(errno));
+    }
+    ::close(fd);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        fatal("cannot rename ", tmp, " to ", path, ": ",
+              std::strerror(errno));
+
+    // Make the rename itself durable.
+    const std::size_t slash = path.find_last_of('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path.substr(0, slash);
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd >= 0) {
+        ::fsync(dfd);
+        ::close(dfd);
+    }
 }
 
 } // namespace persim::exp

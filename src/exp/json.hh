@@ -112,6 +112,14 @@ void writeJsonNumber(std::ostream &os, double v);
 /** Append the JSON string literal (quotes + escapes) for @p s. */
 void writeJsonString(std::ostream &os, const std::string &s);
 
+/**
+ * Durably replace @p path with @p content: write `<path>.tmp`, fsync,
+ * rename over @p path, fsync the directory. A reader sees the old file
+ * or the complete new one, never a torn write. Throws SimFatal on I/O
+ * errors.
+ */
+void writeFileAtomic(const std::string &path, const std::string &content);
+
 } // namespace persim::exp
 
 #endif // PERSIM_EXP_JSON_HH

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "exp/fault.hh"
-#include "exp/journal.hh"
 #include "exp/stats_export.hh"
 #include "prof/phase.hh"
 #include "prof/sampler.hh"
@@ -392,10 +391,6 @@ SweepRunner::run(const Sweep &sweep)
                        : (outcome.timedOut ? JobState::TimedOut
                                            : JobState::Failed);
         setState(finalState);
-        // Journal the cell before announcing it done: once a line is
-        // fsync'd, a crash anywhere later cannot lose this result.
-        if (_opts.journal && outcome.ok)
-            _opts.journal->append(outcome);
         JobTelemetry &jt = _telemetry.jobs[index];
         jt.id = spec.id();
         jt.state = finalState;

@@ -11,7 +11,7 @@
  * Scheduling is work-stealing: jobs are dealt round-robin into
  * per-worker deques; a worker pops from the front of its own deque and,
  * when empty, steals from the back of a victim's, so a one-worker
- * sweep runs (and journals) its cells in grid order. Simulated cells
+ * sweep runs (and reports) its cells in grid order. Simulated cells
  * vary wildly in cost (a 10K-epoch BSP run is orders of magnitude
  * longer than an NP baseline), so stealing — not static partitioning —
  * is what keeps all cores busy until the tail.
@@ -31,11 +31,9 @@
  * when one of the two is on. A hang with no watchdog ends only by an
  * external kill of the process.
  *
- * What kills the process itself (OOM kill, ctrl-C, reboot) is covered
- * by the journal: with RunnerOptions::journal set, every completed
- * cell is appended to a crash-safe journal (one fsync'd JSON line per
- * job) so an interrupted sweep can resume without re-running finished
- * cells (exp/journal.hh, persim_sweep --resume).
+ * Nothing survives the death of the process itself (OOM kill, ctrl-C,
+ * reboot): a killed sweep is simply rerun. The paper grids finish in
+ * minutes, so a resume path would guard little.
  */
 
 #ifndef PERSIM_EXP_RUNNER_HH
@@ -59,8 +57,6 @@
 
 namespace persim::exp
 {
-
-class SweepJournal;
 
 /** Result of running one ExperimentSpec (successfully or not). */
 struct JobOutcome
@@ -201,20 +197,12 @@ struct RunnerOptions
     unsigned jobTimeoutMs = 0;
 
     /**
-     * Keep each cell's stat tree in its outcome and journal line. Turn
-     * it off only when nothing reads the trees: a document without
-     * stats whose figure table reads only SimResult. Off, memory stays
-     * flat as cells finish instead of growing by a tree per cell.
+     * Keep each cell's stat tree in its outcome. Turn it off only
+     * when nothing reads the trees: a document without stats whose
+     * figure table reads only SimResult. Off, memory stays flat as
+     * cells finish instead of growing by a tree per cell.
      */
     bool keepStatTrees = true;
-
-    /**
-     * When set, every completed (ok) job is appended to this journal
-     * as one fsync'd JSON line, enabling crash-safe resume
-     * (exp/journal.hh). The runner only appends; opening, validating
-     * and finalizing the journal is the caller's business.
-     */
-    std::shared_ptr<SweepJournal> journal;
 
     /** Print "[done/total] id status" lines to stderr as jobs finish. */
     bool progress = true;

@@ -145,7 +145,6 @@ Sweep::replayTrace(const std::string &path)
         ExperimentSpec spec = s;
         spec.workload = trace->meta.name;
         spec.cores = trace->meta.threadCount;
-        spec.traceFile = path;
         spec.traceData = trace;
         rows.push_back(std::move(spec));
     }

@@ -97,9 +97,10 @@ struct ExperimentSpec
     std::string traceFile;
 
     /**
-     * traceFile already parsed, shared by every cell that replays it
-     * (Sweep::replayTrace), so buildWorkloads() reads no file. Host
-     * state like traceFile, never serialized.
+     * A trace already parsed, shared by every cell that replays it
+     * (Sweep::replayTrace), so buildWorkloads() reads no file; it takes
+     * precedence over traceFile. Host state like traceFile, never
+     * serialized.
      */
     std::shared_ptr<const workload::trace::TraceData> traceData;
 

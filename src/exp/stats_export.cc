@@ -1,7 +1,5 @@
 #include "exp/stats_export.hh"
 
-#include <type_traits>
-
 #include "prof/phase.hh"
 #include "sim/logging.hh"
 
@@ -91,32 +89,6 @@ simResultToJson(const model::SimResult &res)
         viol.push(JsonValue(v));
     out["violations"] = std::move(viol);
     return out;
-}
-
-model::SimResult
-simResultFromJson(const JsonValue &j)
-{
-    model::SimResult res;
-    auto boolAt = [&](const char *key, bool &out) {
-        if (const JsonValue *v = j.get(key))
-            out = v->asBool();
-    };
-    auto u64At = [&](const char *key, auto &out) {
-        if (const JsonValue *v = j.get(key))
-            out = static_cast<std::remove_reference_t<decltype(out)>>(
-                v->asNumber());
-    };
-    boolAt("completed", res.completed);
-    boolAt("deadlocked", res.deadlocked);
-    boolAt("timedOut", res.timedOut);
-    u64At("execTicks", res.execTicks);
-    u64At("drainTicks", res.drainTicks);
-    u64At("events", res.events);
-    u64At("transactions", res.transactions);
-    if (const JsonValue *viol = j.get("violations"))
-        for (std::size_t i = 0; i < viol->size(); ++i)
-            res.violations.push_back(viol->at(i).asString());
-    return res;
 }
 
 std::string

@@ -61,14 +61,6 @@ double sumStat(const JsonValue &statTree, const StatRef &ref,
 /** Serialize a SimResult (exec/drain ticks, flags, violations). */
 JsonValue simResultToJson(const model::SimResult &res);
 
-/**
- * Rebuild a SimResult from simResultToJson() output (journal
- * resume). Derived fields ("throughput") are recomputed, so
- * simResultToJson(simResultFromJson(j)) == j byte for byte. Missing
- * members keep their defaults.
- */
-model::SimResult simResultFromJson(const JsonValue &j);
-
 /** Quote a CSV field when it needs quoting (comma, quote, newline). */
 std::string csvField(const std::string &s);
 

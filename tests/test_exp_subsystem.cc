@@ -228,8 +228,8 @@ TEST(ExpPool, EveryJobRunsExactlyOnce)
 
 TEST(ExpPool, OneWorkerRunsInGridOrder)
 {
-    // A serial sweep journals and reports its cells head first, so a
-    // killed run has finished the start of the grid.
+    // A serial sweep runs its cells head first, so its "[done/total]"
+    // progress lines list them in grid order.
     std::vector<std::size_t> order;
     exp::WorkStealingPool pool(1, 8);
     pool.run([&](std::size_t job, unsigned) { order.push_back(job); });

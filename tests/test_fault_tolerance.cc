@@ -2,9 +2,7 @@
  * @file
  * Tests for the sweep fault-tolerance layer: deterministic fault
  * injection (PERSIM_FAULT), the per-job watchdog, the retry loop and
- * its backoff, the crash-safe journal, and resume merging — including
- * the byte-identity guarantee that a resumed sweep serializes exactly
- * like an uninterrupted one.
+ * its backoff, and the atomic replacement of the --out document.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +11,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 
 #include "exp/fault.hh"
-#include "exp/journal.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "sim/logging.hh"
@@ -27,7 +23,6 @@ namespace persim
 
 using exp::ExperimentSpec;
 using exp::JobOutcome;
-using exp::JsonValue;
 using exp::Sweep;
 
 namespace
@@ -232,231 +227,10 @@ TEST(Retry, BacksOffExponentiallyBetweenAttempts)
 }
 
 // ---------------------------------------------------------------------
-// Journal + resume
+// Atomic --out
 // ---------------------------------------------------------------------
 
-TEST(Journal, OutcomeWireRoundTripsByteExact)
-{
-    const ExperimentSpec spec = tinySpec();
-    const JobOutcome out = exp::runJob(spec);
-    ASSERT_TRUE(out.ok) << out.error;
-
-    const std::string wireText = exp::outcomeToWire(out).dump(0);
-    const JobOutcome back = exp::outcomeFromWire(
-        JsonValue::parse(wireText), spec, out.index);
-
-    EXPECT_EQ(out.toJson().dump(2), back.toJson().dump(2));
-    EXPECT_TRUE(out.statTree == back.statTree);
-    EXPECT_EQ(exp::outcomeToWire(back).dump(0), wireText);
-}
-
-TEST(Journal, CellsWithoutTreesJournalNoGroups)
-{
-    const std::string path = tempPath("no_trees.journal");
-    std::filesystem::remove(path);
-
-    Sweep sweep = tinySweep(3);
-    exp::JournalHeader header;
-    header.sweep = sweep.name;
-    header.jobCount = sweep.jobs.size();
-    header.gridHash = exp::gridFingerprint(sweep.jobs);
-    header.statTrees = false;
-
-    exp::RunnerOptions opts;
-    opts.jobs = 2;
-    opts.progress = false;
-    opts.keepStatTrees = false;
-    opts.journal = std::make_shared<exp::SweepJournal>();
-    opts.journal->open(path, header, /*fresh=*/true);
-    exp::SweepRunner runner(opts);
-    const auto outcomes = runner.run(sweep);
-    opts.journal->close();
-
-    const exp::JournalContents jc = exp::loadJournal(path);
-    ASSERT_TRUE(jc.headerOk);
-    EXPECT_FALSE(jc.header.statTrees);
-    ASSERT_EQ(jc.entries.size(), sweep.jobs.size());
-    for (const auto &[id, wire] : jc.entries) {
-        EXPECT_EQ(wire.get("groups"), nullptr) << id;
-        EXPECT_LT(wire.dump(0).size(), 1024u) << id;
-    }
-
-    // The journaled cells rebuild the stat-free document exactly.
-    const auto merged = exp::mergeResumedOutcomes(sweep, jc.entries, {});
-    EXPECT_EQ(exp::sweepToJson(sweep, merged, false).dump(2),
-              exp::sweepToJson(sweep, outcomes, false).dump(2));
-}
-
-TEST(Journal, HeaderWithoutStatTreesKeyReadsAsKept)
-{
-    // Journals written before the key existed always kept trees.
-    const std::string path = tempPath("old_header.journal");
-    {
-        std::ofstream os(path, std::ios::trunc);
-        os << "{\"persimJournal\":1,\"sweep\":\"s\",\"jobCount\":1,"
-              "\"gridHash\":\"00000000000000ff\"}\n";
-    }
-    const exp::JournalContents jc = exp::loadJournal(path);
-    ASSERT_TRUE(jc.headerOk);
-    EXPECT_TRUE(jc.header.statTrees);
-    EXPECT_EQ(jc.header.gridHash, 0xffu);
-}
-
-TEST(Journal, AppendsHeaderAndUniqueEntries)
-{
-    const std::string path = tempPath("unique.journal");
-    std::filesystem::remove(path);
-
-    Sweep sweep = tinySweep(3);
-    exp::JournalHeader header;
-    header.sweep = sweep.name;
-    header.jobCount = sweep.jobs.size();
-    header.gridHash = exp::gridFingerprint(sweep.jobs);
-
-    exp::RunnerOptions opts;
-    opts.jobs = 2;
-    opts.progress = false;
-    opts.journal = std::make_shared<exp::SweepJournal>();
-    opts.journal->open(path, header, /*fresh=*/true);
-    exp::SweepRunner runner(opts);
-    auto outcomes = runner.run(sweep);
-    opts.journal->close();
-    for (const JobOutcome &o : outcomes)
-        ASSERT_TRUE(o.ok) << o.error;
-
-    const exp::JournalContents jc = exp::loadJournal(path);
-    ASSERT_TRUE(jc.exists);
-    ASSERT_TRUE(jc.headerOk);
-    EXPECT_TRUE(jc.header.matches(header));
-    EXPECT_EQ(jc.dropped, 0u);
-    EXPECT_EQ(jc.duplicates, 0u);
-
-    // Every completed cell appears exactly once.
-    std::set<std::string> ids;
-    for (const auto &[id, wire] : jc.entries)
-        ids.insert(id);
-    EXPECT_EQ(jc.entries.size(), sweep.jobs.size());
-    EXPECT_EQ(ids.size(), sweep.jobs.size());
-    for (const ExperimentSpec &spec : sweep.jobs)
-        EXPECT_EQ(ids.count(spec.id()), 1u) << spec.id();
-}
-
-TEST(Journal, ToleratesTornTailAndRejectsForeignHeader)
-{
-    const std::string path = tempPath("torn.journal");
-    std::filesystem::remove(path);
-
-    Sweep sweep = tinySweep(2);
-    exp::JournalHeader header;
-    header.sweep = sweep.name;
-    header.jobCount = sweep.jobs.size();
-    header.gridHash = exp::gridFingerprint(sweep.jobs);
-
-    {
-        exp::SweepJournal journal;
-        journal.open(path, header, /*fresh=*/true);
-        journal.append(exp::runJob(sweep.jobs[0]));
-    }
-    // Simulate a crash mid-append: a torn, unterminated JSON prefix.
-    {
-        std::ofstream os(path, std::ios::app);
-        os << "{\"id\":\"half-writ";
-    }
-    const exp::JournalContents jc = exp::loadJournal(path);
-    ASSERT_TRUE(jc.headerOk);
-    EXPECT_EQ(jc.entries.size(), 1u);
-    EXPECT_EQ(jc.dropped, 1u);
-
-    // A journal from a different grid must not match.
-    exp::JournalHeader other = header;
-    other.gridHash ^= 1;
-    EXPECT_FALSE(jc.header.matches(other));
-}
-
-TEST(Journal, GridFingerprintTracksResultRelevantFields)
-{
-    Sweep a = tinySweep(3);
-    Sweep b = tinySweep(3);
-    EXPECT_EQ(exp::gridFingerprint(a.jobs),
-              exp::gridFingerprint(b.jobs));
-    b.jobs[1].ops += 1;
-    EXPECT_NE(exp::gridFingerprint(a.jobs),
-              exp::gridFingerprint(b.jobs));
-}
-
-TEST(Journal, GridFingerprintCoversAblationKnobs)
-{
-    // Two grids equal in everything but one ablation knob simulate
-    // different cells, so a journal of one must not resume the other.
-    Sweep a = tinySweep(3);
-    Sweep b = tinySweep(3);
-    b.jobs[2].maxInflightEpochs = 2;
-    EXPECT_EQ(a.jobs[2].id(), b.jobs[2].id());
-    EXPECT_NE(exp::gridFingerprint(a.jobs),
-              exp::gridFingerprint(b.jobs));
-}
-
-TEST(Journal, InterruptedThenResumedSweepIsByteIdentical)
-{
-    Sweep sweep = tinySweep(4);
-
-    // Reference: uninterrupted run.
-    exp::RunnerOptions plain;
-    plain.jobs = 2;
-    plain.progress = false;
-    exp::SweepRunner ref(plain);
-    const std::string full =
-        exp::sweepToJson(sweep, ref.run(sweep)).dump(2);
-
-    // "Interrupted" run: only cells 0 and 2 made it into the journal
-    // before the crash.
-    const std::string path = tempPath("resume.journal");
-    std::filesystem::remove(path);
-    exp::JournalHeader header;
-    header.sweep = sweep.name;
-    header.jobCount = sweep.jobs.size();
-    header.gridHash = exp::gridFingerprint(sweep.jobs);
-    {
-        exp::SweepJournal journal;
-        journal.open(path, header, /*fresh=*/true);
-        journal.append(exp::runJob(sweep.jobs[0]));
-        journal.append(exp::runJob(sweep.jobs[2]));
-    }
-
-    // Resume: load, skip journaled cells, run the rest, merge.
-    const exp::JournalContents jc = exp::loadJournal(path);
-    ASSERT_TRUE(jc.headerOk);
-    ASSERT_TRUE(jc.header.matches(header));
-    Sweep rest = sweep;
-    std::erase_if(rest.jobs, [&](const ExperimentSpec &spec) {
-        for (const auto &[id, wire] : jc.entries)
-            if (id == spec.id())
-                return true;
-        return false;
-    });
-    ASSERT_EQ(rest.jobs.size(), 2u);
-
-    exp::SweepRunner resumed(plain);
-    auto merged = exp::mergeResumedOutcomes(sweep, jc.entries,
-                                            resumed.run(rest));
-    ASSERT_EQ(merged.size(), sweep.jobs.size());
-    EXPECT_EQ(exp::sweepToJson(sweep, merged).dump(2), full);
-}
-
-TEST(Journal, MergeRefusesUncoveredCell)
-{
-    Sweep sweep = tinySweep(3);
-    // One journaled cell, no fresh outcomes: cells 1 and 2 are covered
-    // by neither source.
-    std::vector<std::pair<std::string, JsonValue>> entries;
-    entries.emplace_back(
-        sweep.jobs[0].id(),
-        exp::outcomeToWire(exp::runJob(sweep.jobs[0])));
-    EXPECT_THROW(exp::mergeResumedOutcomes(sweep, entries, {}),
-                 SimFatal);
-}
-
-TEST(Journal, AtomicWriteReplacesFile)
+TEST(AtomicWrite, ReplacesFile)
 {
     const std::string path = tempPath("atomic.json");
     exp::writeFileAtomic(path, "first\n");

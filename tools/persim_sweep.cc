@@ -24,17 +24,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "flags.hh"
 
 #include "exp/fault.hh"
 #include "exp/figures.hh"
-#include "exp/journal.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "exp/trace_export.hh"
@@ -86,24 +83,14 @@ usage(const char *argv0)
         "                    over-deadline jobs fail with error "
         "'timeout'\n"
         "                    (0 = no watchdog, the default)\n"
-        "  --resume          resume an interrupted run from "
-        "<out>.journal:\n"
-        "                    journaled cells are merged, only the rest "
-        "run;\n"
-        "                    output is byte-identical to an "
-        "uninterrupted\n"
-        "                    run (needs --out; refuses a changed grid)\n"
         "  --out FILE        write the sweep JSON (default: stdout "
         "summary only);\n"
-        "                    completed cells are journaled to "
-        "FILE.journal\n"
-        "                    until the final atomic rename\n"
+        "                    a regular FILE is replaced atomically\n"
         "  --csv FILE        write the figure table as CSV\n"
         "  --no-stats        omit per-job stat trees from the JSON "
         "(and,\n"
         "                    unless the grid's table sums stats, from "
-        "memory\n"
-        "                    and the journal)\n"
+        "memory)\n"
         "  --only PATTERN    run only jobs whose id contains PATTERN\n"
         "                    (substring match on \"<workload>/<config>/"
         "s<seed>\")\n"
@@ -149,7 +136,6 @@ main(int argc, char **argv)
     unsigned numSeeds = 1;
     unsigned retries = 1;
     unsigned jobTimeoutMs = 0;
-    bool resume = false;
     std::string outFile;
     std::string csvFile;
     std::string timingFile;
@@ -205,8 +191,6 @@ main(int argc, char **argv)
         else if (arg == "--job-timeout-ms")
             jobTimeoutMs = parseNumU32("--job-timeout-ms",
                                        value("--job-timeout-ms"));
-        else if (arg == "--resume")
-            resume = true;
         else if (arg == "--out")
             outFile = value("--out");
         else if (arg == "--csv")
@@ -300,11 +284,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--jobs must be at least 1\n");
         return 2;
     }
-    if (resume && outFile.empty()) {
-        std::fprintf(stderr, "--resume needs --out FILE (the journal "
-                             "lives at FILE.journal)\n");
-        return 2;
-    }
     try {
         // A malformed directive would fail every cell alike.
         exp::fault::fromEnv();
@@ -312,11 +291,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    // Cells keep their stat trees only when something reads them: the
-    // document's groups or a table summing stats.
-    bool keepTrees =
-        includeStats || exp::findGrid(figure).reduce.readsStats();
-
     try {
         exp::Sweep sweep = exp::figureSweep(figure, ops, cores, seed);
 
@@ -376,7 +350,7 @@ main(int argc, char **argv)
         }
 
         // A machine the simulator refuses (say --cores 3) would fail
-        // every cell alike, after its retries and with a journal.
+        // every cell alike, after its retries.
         for (const exp::ExperimentSpec &spec : sweep.jobs) {
             try {
                 spec.toSystemConfig().validate();
@@ -421,6 +395,10 @@ main(int argc, char **argv)
         opts.progress = !quiet;
         opts.liveProgress = liveProgress;
         opts.prof = !profFile.empty();
+        // Cells keep their stat trees only when something reads them:
+        // the document's groups or a table summing stats.
+        opts.keepStatTrees =
+            includeStats || exp::findGrid(figure).reduce.readsStats();
         if (!traceFile.empty()) {
             opts.traceFlags = traceFlags;
             opts.traceJobId = traceJob;
@@ -429,113 +407,10 @@ main(int argc, char **argv)
             opts.counterWindow = intervalSet ? intervalTicks : 5000;
         }
 
-        // Crash-safe journal: every completed cell becomes durable in
-        // <out>.journal the moment it finishes; --resume merges those
-        // cells back instead of re-running them. The header pins the
-        // journal to this exact grid so a changed axis (ops, cores,
-        // filters) is refused rather than silently mixed.
-        //
-        // "--out /dev/null" (and any other non-regular target) gets
-        // neither journal nor atomic rename: renaming over a device
-        // node would replace it with a regular file.
-        const std::string journalPath = outFile + ".journal";
-        std::error_code outStatEc;
-        const auto outStat =
-            std::filesystem::status(outFile, outStatEc);
-        const bool specialOut =
-            !outFile.empty() && !outStatEc &&
-            std::filesystem::exists(outStat) &&
-            !std::filesystem::is_regular_file(outStat);
-        if (resume && specialOut) {
-            std::fprintf(stderr,
-                         "error: --resume needs a regular --out file, "
-                         "got %s\n",
-                         outFile.c_str());
-            return 2;
-        }
-        exp::JournalHeader header;
-        header.sweep = sweep.name;
-        header.jobCount = sweep.jobs.size();
-        header.gridHash = exp::gridFingerprint(sweep.jobs);
-        header.statTrees = keepTrees;
-
-        std::vector<std::pair<std::string, exp::JsonValue>> journaled;
-        exp::Sweep runSweep = sweep;
-        if (resume) {
-            exp::JournalContents jc = exp::loadJournal(journalPath);
-            if (!jc.exists) {
-                std::fprintf(stderr,
-                             "error: --resume: no journal at %s "
-                             "(nothing to resume)\n",
-                             journalPath.c_str());
-                return 2;
-            }
-            if (!jc.headerOk || !jc.header.matches(header)) {
-                std::fprintf(
-                    stderr,
-                    "error: --resume: journal %s does not match this "
-                    "grid (journal: sweep '%s', %zu jobs, grid %016llx; "
-                    "current: sweep '%s', %zu jobs, grid %016llx); "
-                    "rerun without --resume to start over\n",
-                    journalPath.c_str(), jc.header.sweep.c_str(),
-                    jc.header.jobCount,
-                    static_cast<unsigned long long>(jc.header.gridHash),
-                    sweep.name.c_str(), sweep.jobs.size(),
-                    static_cast<unsigned long long>(header.gridHash));
-                return 2;
-            }
-            if (keepTrees && !jc.header.statTrees) {
-                std::fprintf(
-                    stderr,
-                    "error: --resume: journal %s holds no stat trees "
-                    "(written by a --no-stats run), but this run's "
-                    "document or table reads them; rerun with "
-                    "--no-stats, or without --resume to start over\n",
-                    journalPath.c_str());
-                return 2;
-            }
-            // Fresh cells follow the journal, so every line in it
-            // keeps a tree or none does.
-            keepTrees = jc.header.statTrees;
-            if (jc.dropped > 0)
-                std::fprintf(stderr,
-                             "warning: dropped %zu torn journal "
-                             "line(s) (crash mid-append)\n",
-                             jc.dropped);
-            if (jc.duplicates > 0)
-                std::fprintf(stderr,
-                             "warning: %zu duplicate journal entries "
-                             "(latest wins)\n",
-                             jc.duplicates);
-            journaled = std::move(jc.entries);
-            std::unordered_set<std::string> doneIds;
-            for (const auto &e : journaled)
-                doneIds.insert(e.first);
-            std::erase_if(runSweep.jobs, [&](const auto &spec) {
-                return doneIds.count(spec.id()) != 0;
-            });
-            std::fprintf(stderr,
-                         "resume: %zu of %zu cells journaled, "
-                         "running %zu\n",
-                         doneIds.size(), sweep.jobs.size(),
-                         runSweep.jobs.size());
-        }
-        std::shared_ptr<exp::SweepJournal> journal;
-        if (!outFile.empty() && !specialOut) {
-            journal = std::make_shared<exp::SweepJournal>();
-            journal->open(journalPath, header, /*fresh=*/!resume);
-            opts.journal = journal;
-        }
-
-        opts.keepStatTrees = keepTrees;
-
         std::fprintf(stderr, "%s: %zu jobs, %u worker(s)\n",
-                     sweep.name.c_str(), runSweep.jobs.size(), jobs);
+                     sweep.name.c_str(), sweep.jobs.size(), jobs);
         exp::SweepRunner runner(opts);
-        std::vector<exp::JobOutcome> outcomes = runner.run(runSweep);
-        if (resume)
-            outcomes = exp::mergeResumedOutcomes(sweep, journaled,
-                                                 std::move(outcomes));
+        std::vector<exp::JobOutcome> outcomes = runner.run(sweep);
 
         std::size_t failed = 0;
         for (const auto &o : outcomes)
@@ -548,8 +423,25 @@ main(int argc, char **argv)
         const exp::FigureTable table =
             exp::figureTable(sweep.name, outcomes);
         doc["table"] = exp::figureTableToJson(table);
+        const std::size_t noBaseline =
+            std::count(table.noBaseline.begin(), table.noBaseline.end(),
+                       true);
+        if (noBaseline > 0)
+            std::fprintf(stderr,
+                         "warning: baseline column '%s' did not run for "
+                         "%zu of %zu row(s); the table prints those rows "
+                         "as n/a\n",
+                         exp::findGrid(figure).reduce.baseline.c_str(),
+                         noBaseline, table.rows.size());
 
         if (!outFile.empty()) {
+            // A non-regular target (a FIFO, a device) is written in
+            // place: renaming over it would replace it with a file.
+            std::error_code ec;
+            const auto outStat = std::filesystem::status(outFile, ec);
+            const bool specialOut =
+                !ec && std::filesystem::exists(outStat) &&
+                !std::filesystem::is_regular_file(outStat);
             if (specialOut) {
                 std::ofstream os(outFile);
                 if (!os)
@@ -566,20 +458,6 @@ main(int argc, char **argv)
             }
             std::fprintf(stderr, "wrote %s\n", outFile.c_str());
         }
-        if (journal) {
-            journal->close();
-            if (failed == 0) {
-                std::error_code ec;
-                std::filesystem::remove(journalPath, ec);
-            } else {
-                // Failed cells are not journaled, so a --resume rerun
-                // retries exactly them.
-                std::fprintf(stderr,
-                             "%zu failed cell(s); journal kept at %s "
-                             "for --resume\n",
-                             failed, journalPath.c_str());
-            }
-        }
         if (!csvFile.empty()) {
             std::ofstream os(csvFile);
             if (!os)
@@ -592,8 +470,8 @@ main(int argc, char **argv)
             if (!os)
                 fatal("cannot write ", traceFile);
             std::string traced =
-                traceJob.empty() && !runSweep.jobs.empty()
-                    ? runSweep.jobs.front().id()
+                traceJob.empty() && !sweep.jobs.empty()
+                    ? sweep.jobs.front().id()
                     : traceJob;
             exp::writeChromeTrace(os, *runner.recorder(),
                                   sweep.name + "/" + traced);
