@@ -22,6 +22,7 @@ import filecmp
 import glob
 import json
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -389,6 +390,79 @@ def soak_fig13_fig14_seeds():
     expect(not failed, f"{len(failed)} failed cell(s)")
 
 
+MUTANT_BASE = ("--figure", "11", "--ops", "20", "--cores", "4",
+               "--only", "hash/")
+MUTANT_VALUES = ("-1", "1e5", "", "18446744073709551616", "abc")
+
+
+def misspell(flag, rng):
+    """@p flag with one letter dropped, doubled or swapped with the
+    next."""
+    name = flag[2:]
+    i = rng.randrange(len(name) - 1)
+    kind = rng.choice(("drop", "double", "swap"))
+    if kind == "drop":
+        name = name[:i] + name[i + 1:]
+    elif kind == "double":
+        name = name[:i] + name[i] + name[i:]
+    else:
+        name = name[:i] + name[i + 1] + name[i] + name[i + 2:]
+    return "--" + name
+
+
+def mutate(tokens, rng):
+    """@p tokens with one token dropped or duplicated, one value
+    replaced by a MUTANT_VALUES entry, or one flag misspelled."""
+    tokens = list(tokens)
+    kind = rng.choice(("drop", "duplicate", "value", "misspell"))
+    flags = [i for i, t in enumerate(tokens)
+             if t.startswith("--") and len(t) >= 4]
+    values = [i for i, t in enumerate(tokens) if not t.startswith("--")]
+    if kind == "value":
+        tokens[rng.choice(values)] = rng.choice(MUTANT_VALUES)
+    elif kind == "misspell":
+        i = rng.choice(flags)
+        tokens[i] = misspell(tokens[i], rng)
+    elif kind == "drop":
+        del tokens[rng.randrange(len(tokens))]
+    else:
+        i = rng.randrange(len(tokens))
+        tokens.insert(i, tokens[i])
+    return tokens
+
+
+def flags_mutants():
+    """A few hundred seeded edits of a --list command line (a token
+    dropped or duplicated, a value replaced by -1, 1e5, '', 2^64 or
+    abc, a flag misspelled) each exit 0, or exit 2 with a first stderr
+    line that names a flag or quotes an argument; none dies by a
+    signal. --list is always kept, so a valid mutant only lists."""
+    rng = random.Random(31)
+    seen = set()
+    while len(seen) < 300:
+        args = mutate(MUTANT_BASE, rng)
+        for _ in range(rng.randrange(3)):
+            args = mutate(args, rng)
+        args = tuple(args) + ("--list",)
+        if args in seen:
+            continue
+        seen.add(args)
+        p = subprocess.run([os.path.join(BIN, "persim_sweep"), *args],
+                           capture_output=True, text=True)
+        shown = " ".join(repr(a) if not a else a for a in args)
+        expect(p.returncode in (0, 2),
+               f"persim_sweep {shown} exited {p.returncode}:\n"
+               f"{p.stderr}")
+        if p.returncode == 2:
+            first = (p.stderr.splitlines() or [""])[0]
+            named = [a for a in args
+                     if a.startswith("--") and a in first or
+                     f"'{a}'" in first]
+            expect(named, f"persim_sweep {shown} exited 2 without "
+                          f"naming a flag: {first!r}")
+    print(f"{len(seen)} mutants")
+
+
 # Check "obs.traced_sweep" is the function obs_traced_sweep; its ctest
 # entry carries the same name.
 CHECKS = {f.__name__.replace("_", ".", 1): f for f in (
@@ -397,7 +471,7 @@ CHECKS = {f.__name__.replace("_", ".", 1): f for f in (
     obs_traced_sweep, prof_profiled_sweep, fault_throw_costs_one_cell,
     fault_watchdog_times_out_hang, fault_fifo_out_written_in_place,
     trace_fig11_capture_replay, trace_fig14_capture_replay,
-    trace_fixture_validates, trace_seeds_table_ci,
+    trace_fixture_validates, trace_seeds_table_ci, flags_mutants,
     soak_fig13_fig14_seeds)}
 
 

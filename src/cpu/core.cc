@@ -110,7 +110,12 @@ Core::issueStore(Addr addr)
     ++_stores;
     ++_ops;
     _wb.push(addr);
-    if (_cfg.rfoPrefetch && !_cfg.writeThrough)
+    // An exclusive (RFO) prefetch as the store enters the write buffer
+    // models the store-miss overlap an OoO core extracts. Completion
+    // stays strictly in order (TSO), so a store stalled on a persist
+    // conflict back-pressures everything younger — the effect the
+    // paper's conflict costs rest on.
+    if (!_cfg.writeThrough)
         _l1->prefetchExclusive(addr);
     pumpDrain();
     if (_cfg.autoBarrierEvery != 0 &&

@@ -34,14 +34,6 @@ struct CoreConfig
 {
     unsigned writeBufferEntries = 32;
     /**
-     * Issue an exclusive (RFO) prefetch when a store enters the write
-     * buffer, modelling the store-miss overlap an OoO core extracts.
-     * Completion stays strictly in order (TSO), so a store stalled on
-     * a persist conflict back-pressures everything younger — the
-     * effect the paper's conflict costs rest on.
-     */
-    bool rfoPrefetch = true;
-    /**
      * BSP bulk mode: the hardware persistence engine inserts a persist
      * barrier every N dynamic stores (§5.2). 0 disables auto-barriers.
      */

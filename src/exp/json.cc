@@ -169,266 +169,6 @@ JsonValue::dump(unsigned indent) const
     return os.str();
 }
 
-bool
-JsonValue::operator==(const JsonValue &other) const
-{
-    if (_kind != other._kind)
-        return false;
-    switch (_kind) {
-    case Kind::Null:
-        return true;
-    case Kind::Bool:
-        return _bool == other._bool;
-    case Kind::Number:
-        return _num == other._num;
-    case Kind::String:
-        return _str == other._str;
-    case Kind::Array:
-        return _items == other._items;
-    case Kind::Object:
-        return _members == other._members;
-    }
-    return false;
-}
-
-// ---------------------------------------------------------------------
-// Parser: plain recursive descent over the full JSON grammar.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : _s(text) {}
-
-    JsonValue parseDocument()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (_pos != _s.size())
-            fail("trailing characters after document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void fail(const std::string &why) const
-    {
-        persim::fatal("JSON parse error at offset ", _pos, ": ", why);
-    }
-
-    void skipWs()
-    {
-        while (_pos < _s.size() &&
-               (_s[_pos] == ' ' || _s[_pos] == '\t' || _s[_pos] == '\n' ||
-                _s[_pos] == '\r'))
-            ++_pos;
-    }
-
-    char peek()
-    {
-        skipWs();
-        if (_pos >= _s.size())
-            fail("unexpected end of input");
-        return _s[_pos];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++_pos;
-    }
-
-    bool consumeLiteral(const char *lit)
-    {
-        const std::size_t n = std::string(lit).size();
-        if (_s.compare(_pos, n, lit) == 0) {
-            _pos += n;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue parseValue()
-    {
-        switch (peek()) {
-        case '{':
-            return parseObject();
-        case '[':
-            return parseArray();
-        case '"':
-            return JsonValue(parseString());
-        case 't':
-            if (consumeLiteral("true"))
-                return JsonValue(true);
-            fail("bad literal");
-        case 'f':
-            if (consumeLiteral("false"))
-                return JsonValue(false);
-            fail("bad literal");
-        case 'n':
-            if (consumeLiteral("null"))
-                return JsonValue();
-            fail("bad literal");
-        default:
-            return parseNumber();
-        }
-    }
-
-    JsonValue parseObject()
-    {
-        expect('{');
-        JsonValue obj = JsonValue::object();
-        if (peek() == '}') {
-            ++_pos;
-            return obj;
-        }
-        while (true) {
-            if (peek() != '"')
-                fail("expected member name");
-            std::string key = parseString();
-            expect(':');
-            obj[key] = parseValue();
-            if (peek() == ',') {
-                ++_pos;
-                continue;
-            }
-            expect('}');
-            return obj;
-        }
-    }
-
-    JsonValue parseArray()
-    {
-        expect('[');
-        JsonValue arr = JsonValue::array();
-        if (peek() == ']') {
-            ++_pos;
-            return arr;
-        }
-        while (true) {
-            arr.push(parseValue());
-            if (peek() == ',') {
-                ++_pos;
-                continue;
-            }
-            expect(']');
-            return arr;
-        }
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (_pos >= _s.size())
-                fail("unterminated string");
-            char c = _s[_pos++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                fail("unterminated escape");
-            char e = _s[_pos++];
-            switch (e) {
-            case '"':
-                out += '"';
-                break;
-            case '\\':
-                out += '\\';
-                break;
-            case '/':
-                out += '/';
-                break;
-            case 'n':
-                out += '\n';
-                break;
-            case 't':
-                out += '\t';
-                break;
-            case 'r':
-                out += '\r';
-                break;
-            case 'b':
-                out += '\b';
-                break;
-            case 'f':
-                out += '\f';
-                break;
-            case 'u': {
-                if (_pos + 4 > _s.size())
-                    fail("short \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = _s[_pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape");
-                }
-                // Encode as UTF-8 (no surrogate-pair handling; the
-                // writer only emits \u for control characters).
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
-            }
-            default:
-                fail("unknown escape");
-            }
-        }
-    }
-
-    JsonValue parseNumber()
-    {
-        skipWs();
-        const std::size_t start = _pos;
-        if (_pos < _s.size() && (_s[_pos] == '-' || _s[_pos] == '+'))
-            ++_pos;
-        while (_pos < _s.size() &&
-               (std::isdigit(static_cast<unsigned char>(_s[_pos])) ||
-                _s[_pos] == '.' || _s[_pos] == 'e' || _s[_pos] == 'E' ||
-                _s[_pos] == '+' || _s[_pos] == '-'))
-            ++_pos;
-        if (_pos == start)
-            fail("expected a value");
-        double v = 0.0;
-        auto res = std::from_chars(_s.data() + start, _s.data() + _pos, v);
-        if (res.ec != std::errc() || res.ptr != _s.data() + _pos)
-            fail("bad number");
-        return JsonValue(v);
-    }
-
-    const std::string &_s;
-    std::size_t _pos = 0;
-};
-
-} // namespace
-
-JsonValue
-JsonValue::parse(const std::string &text)
-{
-    return Parser(text).parseDocument();
-}
-
 void
 writeFileAtomic(const std::string &path, const std::string &content)
 {

@@ -8,8 +8,9 @@
  *      parallel sweep can be diffed against a serial one.
  *   2. Order preservation — objects keep insertion order, so emitted
  *      files read in the order the code builds them.
- *   3. Round-trip — parse(dump(v)) reproduces v (used by tests and by
- *      tools that post-process sweep output).
+ *
+ * The model is write-only: nothing in persimmon reads JSON back. Its
+ * only inputs are command-line flags and ptrace v1 text.
  *
  * Numbers serialize via std::to_chars (shortest round-trip form);
  * integral values within int64 range render without a decimal point.
@@ -89,11 +90,6 @@ class JsonValue
     void write(std::ostream &os, unsigned indent = 2,
                unsigned depth = 0) const;
     std::string dump(unsigned indent = 2) const;
-
-    /** Parse a complete JSON document; throws SimFatal on bad input. */
-    static JsonValue parse(const std::string &text);
-
-    bool operator==(const JsonValue &other) const;
 
   private:
     explicit JsonValue(Kind k) : _kind(k) {}

@@ -8,12 +8,12 @@
  * output is therefore byte-identical no matter how many workers run it
  * or how the jobs interleave.
  *
- * Scheduling is work-stealing: jobs are dealt round-robin into
- * per-worker deques; a worker pops from the front of its own deque and,
- * when empty, steals from the back of a victim's, so a one-worker
- * sweep runs (and reports) its cells in grid order. Simulated cells
- * vary wildly in cost (a 10K-epoch BSP run is orders of magnitude
- * longer than an NP baseline), so stealing — not static partitioning —
+ * Scheduling is one shared job index: each worker takes the next grid
+ * index until the grid runs out, so a one-worker sweep runs (and
+ * reports) its cells in grid order and the cells running at one time
+ * are adjacent in the grid. Simulated cells vary wildly in cost (a
+ * 10K-epoch BSP run is orders of magnitude longer than an NP
+ * baseline), so taking jobs one at a time — not static partitioning —
  * is what keeps all cores busy until the tail.
  *
  * Jobs are isolated: an exception inside one job (bad config, panic,
@@ -41,10 +41,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -132,47 +130,14 @@ JobOutcome runJob(const ExperimentSpec &spec,
 unsigned retryBackoffMs(unsigned retry);
 
 /**
- * Generic work-stealing index pool: runs fn(jobIndex) for every index
- * in [0, numJobs) across numWorkers threads. Exposed for tests; the
- * deques are mutex-guarded (contention is negligible next to the
- * milliseconds-to-minutes cost of one simulation job).
+ * Run fn(jobIndex, workerId) for every index in [0, count) on
+ * @p workers threads; a single worker runs on the calling thread. Each
+ * worker takes the next unclaimed index, so one worker runs them in
+ * order.
  */
-class WorkStealingPool
-{
-  public:
-    WorkStealingPool(unsigned numWorkers, std::size_t numJobs);
-
-    /** Run all jobs; returns when every index has been executed. */
-    void run(const std::function<void(std::size_t jobIndex,
+void runJobs(unsigned workers, std::size_t count,
+             const std::function<void(std::size_t jobIndex,
                                       unsigned workerId)> &fn);
-
-    /** Jobs executed by each worker (after run(); for tests/telemetry). */
-    const std::vector<std::uint64_t> &executedPerWorker() const
-    {
-        return _executed;
-    }
-
-    /** Successful steals per worker (after run()). */
-    const std::vector<std::uint64_t> &stealsPerWorker() const
-    {
-        return _steals;
-    }
-
-  private:
-    struct WorkerDeque
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> jobs;
-    };
-
-    bool popOwn(unsigned worker, std::size_t &out);
-    bool stealFrom(unsigned victim, std::size_t &out);
-
-    unsigned _numWorkers;
-    std::vector<std::unique_ptr<WorkerDeque>> _deques;
-    std::vector<std::uint64_t> _executed;
-    std::vector<std::uint64_t> _steals;
-};
 
 /** Sweep execution options. */
 struct RunnerOptions
@@ -250,7 +215,7 @@ class SweepRunner
 
     /**
      * The trace capture of the last run() — records, duration spans,
-     * counter samples — for writeChromeTrace; nullptr before run(),
+     * counter samples — for chromeTraceJson; nullptr before run(),
      * empty when traceFlags was empty.
      */
     const trace::Recorder *recorder() const { return _recorder.get(); }

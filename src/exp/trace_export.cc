@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "exp/json.hh"
-
 namespace persim::exp
 {
 
@@ -47,9 +45,8 @@ metaEvent(const char *what, unsigned tid, const std::string &label)
 
 } // namespace
 
-void
-writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
-                 const std::string &processName)
+JsonValue
+chromeTraceJson(const trace::Recorder &rec, const std::string &processName)
 {
     const std::vector<trace::Span> &spans = rec.spans();
     const std::vector<trace::Counter> &counters = rec.counters();
@@ -162,8 +159,7 @@ writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
 
     doc["traceEvents"] = std::move(events);
     doc["displayTimeUnit"] = JsonValue("ms");
-    doc.write(os, 0);
-    os << '\n';
+    return doc;
 }
 
 void

@@ -29,20 +29,21 @@
 #include <string>
 #include <vector>
 
+#include "exp/json.hh"
 #include "sim/trace.hh"
 
 namespace persim::exp
 {
 
 /**
- * Write everything captured by @p rec (duration spans, counter
- * samples) as a complete Chrome trace-event JSON document.
+ * Everything captured by @p rec (duration spans, counter samples) as a
+ * complete Chrome trace-event JSON document.
  *
  * @param processName Shown as the process label in the UI (use the
  *                    job id, e.g. "fig11/hash/LB++").
  */
-void writeChromeTrace(std::ostream &os, const trace::Recorder &rec,
-                      const std::string &processName);
+JsonValue chromeTraceJson(const trace::Recorder &rec,
+                          const std::string &processName);
 
 /**
  * Write counter samples as a CSV time series: one "tick" column plus

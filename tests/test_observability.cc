@@ -59,15 +59,6 @@ runTraced(trace::Recorder &recorder, unsigned cores = 2,
     return res;
 }
 
-/** Parse an exported trace and return the traceEvents array. */
-JsonValue
-exportAndParse(const trace::Recorder &recorder)
-{
-    std::ostringstream os;
-    exp::writeChromeTrace(os, recorder, "test");
-    return JsonValue::parse(os.str());
-}
-
 struct SpanInterval
 {
     double begin;
@@ -194,7 +185,7 @@ TEST(ObsExport, TracedRunProducesWellFormedChromeJson)
     ASSERT_FALSE(recorder.spans().empty());
     ASSERT_FALSE(recorder.counters().empty());
 
-    const JsonValue doc = exportAndParse(recorder);
+    const JsonValue doc = exp::chromeTraceJson(recorder, "test");
     const JsonValue *events = doc.get("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_GT(events->size(), 0u);
@@ -233,7 +224,7 @@ TEST(ObsExport, EpochSpansOverlapCoreExecutionSpans)
 {
     trace::Recorder recorder("Epoch,Exec");
     runTraced(recorder);
-    const JsonValue doc = exportAndParse(recorder);
+    const JsonValue doc = exp::chromeTraceJson(recorder, "test");
     const auto spans = collectSpans(doc);
 
     std::vector<SpanInterval> epochs;
@@ -262,7 +253,7 @@ TEST(ObsExport, CounterTracksArePresentAndMonotone)
 {
     trace::Recorder recorder("Epoch", /*counterWindow=*/400);
     runTraced(recorder);
-    const JsonValue doc = exportAndParse(recorder);
+    const JsonValue doc = exp::chromeTraceJson(recorder, "test");
     const JsonValue *events = doc.get("traceEvents");
 
     std::map<std::string, double> lastTs;
@@ -297,7 +288,7 @@ TEST(ObsExport, OverlappingSpansSplayIntoLanes)
     trace::span(50, 150, "t", "b", "Epoch");
     trace::detachRecorder();
 
-    const JsonValue doc = exportAndParse(recorder);
+    const JsonValue doc = exp::chromeTraceJson(recorder, "test");
     const JsonValue *events = doc.get("traceEvents");
     std::map<std::string, double> beginTid;
     std::vector<std::string> laneNames;

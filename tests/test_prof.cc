@@ -130,12 +130,12 @@ TEST(ProfPhase, TotalCountsSumsAcrossThreads)
 
 TEST(ProfPhase, PhaseNamesRoundTrip)
 {
-    // Through the written profile, every phase name is a distinct key
+    // In the profile document, every phase name is a distinct key
     // of `phases` carrying that phase's own count.
     prof::SweepProfile p;
     for (std::size_t i = 0; i < prof::kPhaseCount; ++i)
         p.phases.samples[i] = 10 + i;
-    const exp::JsonValue doc = exp::JsonValue::parse(p.toJson().dump());
+    const exp::JsonValue doc = p.toJson();
     const exp::JsonValue *phases = doc.get("phases");
     ASSERT_NE(phases, nullptr);
     EXPECT_EQ(phases->members().size(), prof::kPhaseCount);
@@ -255,7 +255,7 @@ TEST(ProfRunner, ProfiledSweepFillsTelemetryAndProfile)
     const prof::SweepProfile &p = runner.profile();
     EXPECT_EQ(p.sweep, sweep.name);
     EXPECT_EQ(p.periodUsec, 997u);
-    const exp::JsonValue doc = exp::JsonValue::parse(p.toJson().dump());
+    const exp::JsonValue doc = p.toJson();
     ASSERT_NE(doc.get("phases"), nullptr);
     for (const char *gone : {"jobs", "counters", "hostCpus", "loadAvg1"})
         EXPECT_EQ(doc.get(gone), nullptr) << gone;

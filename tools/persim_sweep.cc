@@ -473,8 +473,10 @@ main(int argc, char **argv)
                 traceJob.empty() && !sweep.jobs.empty()
                     ? sweep.jobs.front().id()
                     : traceJob;
-            exp::writeChromeTrace(os, *runner.recorder(),
-                                  sweep.name + "/" + traced);
+            exp::chromeTraceJson(*runner.recorder(),
+                                 sweep.name + "/" + traced)
+                .write(os, 0);
+            os << '\n';
             std::fprintf(stderr,
                          "wrote %s (%zu spans, %zu counter samples)\n",
                          traceFile.c_str(),
