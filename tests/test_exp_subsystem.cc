@@ -12,9 +12,11 @@
 #include <atomic>
 #include <bit>
 #include <charconv>
+#include <chrono>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "exp/figures.hh"
 #include "exp/json.hh"
@@ -265,20 +267,34 @@ TEST(ExpSpec, CrossSeedsExpandsDeterministically)
 
 TEST(ExpPool, EveryJobRunsExactlyOnce)
 {
-    // Even jobs are slow, so the workers finish out of step; the
-    // shared index must still hand out every job exactly once.
     const std::size_t jobs = 103;
     std::vector<std::atomic<int>> runs(jobs);
-    exp::runJobs(4, jobs, [&](std::size_t job, unsigned) {
-        if (job % 2 == 0) {
-            volatile unsigned sink = 0;
-            for (int i = 0; i < 100000; ++i)
-                sink = sink + i;
-        }
-        ++runs[job];
-    });
+    exp::runJobs(4, jobs, [&](std::size_t job, unsigned) { ++runs[job]; });
     for (std::size_t j = 0; j < jobs; ++j)
         EXPECT_EQ(runs[j].load(), 1) << "job " << j;
+}
+
+TEST(ExpPool, StealingDrainsAnImbalancedLoad)
+{
+    // 2 workers, 8 jobs; job 0 holds its worker until the other seven
+    // have run. The shared index must let the free worker drain them
+    // all, where a fixed deal of jobs to workers would leave half of
+    // them behind the stuck one.
+    std::atomic<int> total{0};
+    bool othersDrained = false;
+    exp::runJobs(2, 8, [&](std::size_t job, unsigned) {
+        if (job == 0) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (total.load() < 7 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            othersDrained = total.load() == 7;
+        }
+        ++total;
+    });
+    EXPECT_TRUE(othersDrained);
+    EXPECT_EQ(total.load(), 8);
 }
 
 TEST(ExpPool, OneWorkerRunsInGridOrder)
