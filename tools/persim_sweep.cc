@@ -129,6 +129,7 @@ int
 main(int argc, char **argv)
 {
     std::string figure;
+    bool figureSet = false;
     unsigned jobs = 1;
     std::uint64_t ops = 0;
     unsigned cores = 32;
@@ -174,9 +175,10 @@ main(int argc, char **argv)
             captureDir = value("--capture-dir");
         else if (arg == "--replay-dir")
             replayDir = value("--replay-dir");
-        else if (arg == "--figure")
+        else if (arg == "--figure") {
             figure = value("--figure");
-        else if (arg == "--jobs")
+            figureSet = true;
+        } else if (arg == "--jobs")
             jobs = parseNumU32("--jobs", value("--jobs"));
         else if (arg == "--ops")
             ops = parseNum("--ops", value("--ops"));
@@ -231,12 +233,13 @@ main(int argc, char **argv)
         }
     }
 
-    if (figure.empty() && listOnly) {
+    // An explicit --figure '' names no grid: findGrid refuses it below.
+    if (!figureSet && listOnly) {
         for (const exp::Grid &g : exp::grids())
             std::printf("%-26s %s\n", g.name.c_str(), g.title.c_str());
         return 0;
     }
-    if (figure.empty()) {
+    if (!figureSet) {
         std::fprintf(stderr, "--figure is required\n");
         usage(argv[0]);
         return 2;
